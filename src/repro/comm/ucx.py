@@ -36,6 +36,7 @@ Protocol timing (see :mod:`repro.comm.protocols` for selection):
 from __future__ import annotations
 
 import math
+import weakref
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -49,10 +50,7 @@ from .protocols import Protocol, select_protocol
 __all__ = ["TransferHandle", "UcxContext", "PRIORITY_COMM", "PRIORITY_COMPUTE"]
 
 # Handle event labels, interned once (isend/irecv run per message).
-_HANDLE_EVENT_NAMES = {
-    "send": ("ucx.send.done", "ucx.send.matched"),
-    "recv": ("ucx.recv.done", "ucx.recv.matched"),
-}
+_DONE_NAMES = {"send": "ucx.send.done", "recv": "ucx.recv.done"}
 
 # Engine-arbitration priorities shared across the stack: communication and
 # its helper operations outrank bulk compute (paper §III-A).
@@ -60,9 +58,18 @@ PRIORITY_COMM = 0
 PRIORITY_COMPUTE = 10
 
 
-@dataclass
+@dataclass(eq=False)
 class TransferHandle:
-    """One side of a point-to-point transfer."""
+    """One side of a point-to-point transfer.
+
+    ``matched`` exists on send handles only: it fires, with the receive
+    handle as its value, once the send is matched.  ``peer`` is the other
+    side once matched.  A send holds its receive strongly (the send's
+    driver needs it until delivery); a receive holds its send weakly, so
+    the pair forms no reference cycle and both are freed by reference
+    counting when the message completes.  A receive's ``peer`` therefore
+    reads ``None`` once its send handle has been freed.
+    """
 
     kind: str  # "send" | "recv"
     src_pe: int
@@ -74,7 +81,14 @@ class TransferHandle:
     payload: object = None
     protocol: Optional[Protocol] = None
     matched: Optional[Event] = None
-    peer: Optional["TransferHandle"] = None
+    _peer: object = field(default=None, repr=False)
+
+    @property
+    def peer(self) -> Optional["TransferHandle"]:
+        peer = self._peer
+        if peer is None or self.kind == "send":
+            return peer
+        return peer()  # a receive's weak link to its send
 
 
 class _DeviceCommState:
@@ -96,8 +110,10 @@ class UcxContext:
         self.engine = cluster.engine
         self.net = cluster.network
         self.spec = spec or cluster.spec.ucx
-        self._pending_sends: dict[tuple, deque] = defaultdict(deque)
-        self._pending_recvs: dict[tuple, deque] = defaultdict(deque)
+        # Unmatched handles by (src_pe, dst_pe, tag); a key is deleted as
+        # soon as its queue empties, so matched traffic leaves nothing behind.
+        self._pending_sends: dict[tuple, deque] = {}
+        self._pending_recvs: dict[tuple, deque] = {}
         self._devices: dict[int, _DeviceCommState] = {}
         self.protocol_counts: dict[Protocol, int] = defaultdict(int)
         #: Optional observer with ``on_post(handle)``, called for every
@@ -137,7 +153,7 @@ class UcxContext:
         if self.monitor is not None:
             self.monitor.on_post(handle)
         self._match(handle)
-        self.engine.process(self._send_proc(handle, priority), name="ucx.send")
+        self.engine.spawn(self._send_proc(handle, priority), name="ucx.send")
         return handle
 
     def irecv(
@@ -162,7 +178,6 @@ class UcxContext:
     def _make_handle(self, kind, src_pe, dst_pe, size, tag, on_device) -> TransferHandle:
         if size < 0:
             raise ValueError("negative size")
-        names = _HANDLE_EVENT_NAMES[kind]
         return TransferHandle(
             kind=kind,
             src_pe=src_pe,
@@ -170,24 +185,29 @@ class UcxContext:
             size=size,
             tag=tag,
             on_device=on_device,
-            done=Event(self.engine, name=names[0]),
-            matched=Event(self.engine, name=names[1]),
+            done=Event(self.engine, name=_DONE_NAMES[kind]),
+            matched=Event(self.engine, name="ucx.send.matched") if kind == "send" else None,
         )
 
     def _match(self, handle: TransferHandle) -> None:
         key = (handle.src_pe, handle.dst_pe, handle.tag)
+        is_send = handle.kind == "send"
         mine, theirs = (
             (self._pending_sends, self._pending_recvs)
-            if handle.kind == "send"
+            if is_send
             else (self._pending_recvs, self._pending_sends)
         )
-        if theirs[key]:
-            peer = theirs[key].popleft()
-            handle.peer, peer.peer = peer, handle
-            peer.matched.succeed(handle)
-            handle.matched.succeed(peer)
+        queue = theirs.get(key)
+        if queue:
+            peer = queue.popleft()
+            if not queue:
+                del theirs[key]
+            send, recv = (handle, peer) if is_send else (peer, handle)
+            send._peer = recv
+            recv._peer = weakref.ref(send)
+            send.matched.succeed(recv)
         else:
-            mine[key].append(handle)
+            mine.setdefault(key, deque()).append(handle)
 
     # -- protocol drivers ----------------------------------------------------------
     def _device_state(self, pe: int) -> _DeviceCommState:

@@ -133,7 +133,7 @@ class Network:
         """Move ``message`` across the machine; the returned event triggers
         at delivery (when the last byte reaches the destination node)."""
         done = Event(self.engine, name="net.deliver")
-        self.engine.process(self._transfer_proc(message, done), name="net.xfer")
+        self.engine.spawn(self._transfer_proc(message, done), name="net.xfer")
         return done
 
     def _transfer_proc(self, message: Message, done: Event):

@@ -17,8 +17,8 @@ the paper's ``recvHalo``.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from typing import Any, Iterable, Optional
+from collections import deque
+from typing import Any, Iterable, Iterator, Optional
 
 from ..hardware.gpu import CudaStream, WorkModel
 from ..hardware.graphs import GraphExec
@@ -73,7 +73,12 @@ class Chare:
         self.index = index
         self.pe = runtime.cluster.pe(array.mapping[index])
         self.gpu = self.pe.gpu
-        self._mailboxes: dict[str, deque] = defaultdict(deque)
+        # Mailbox deposits indexed method -> ref -> FIFO of (deposit number,
+        # message).  A ref's queue is deleted when it empties; the deposit
+        # number orders deposits across refs for ``when(method)`` without a
+        # ref.  Only the methods below touch this layout.
+        self._mailboxes: dict[str, dict[Any, deque]] = {}
+        self._deposits = 0
         self._frames: list[Frame] = []
         self._reduction_seq = 0
         self.init()
@@ -176,19 +181,39 @@ class Chare:
 
     # -- mailbox internals (used by the scheduler) -------------------------------
     def _mailbox_push(self, msg: EntryMessage) -> None:
-        self._mailboxes[msg.method].append(msg)
+        boxes = self._mailboxes.get(msg.method)
+        if boxes is None:
+            boxes = self._mailboxes[msg.method] = {}
+        box = boxes.get(msg.ref)
+        if box is None:
+            box = boxes[msg.ref] = deque()
+        box.append((self._deposits, msg))
+        self._deposits += 1
 
     def _mailbox_pop(self, method: str, ref: Any) -> Optional[EntryMessage]:
-        box = self._mailboxes.get(method)
-        if not box:
+        """The oldest deposit into ``method`` with this ``ref`` (with any
+        ref when ``ref`` is None), removed; ``None`` if there is none."""
+        boxes = self._mailboxes.get(method)
+        if not boxes:
             return None
         if ref is None:
-            return box.popleft()
-        for i, msg in enumerate(box):
-            if msg.ref == ref:
-                del box[i]
-                return msg
-        return None
+            # Oldest across refs: compare the heads of the live queues.
+            ref = min(boxes, key=lambda r: boxes[r][0][0])
+        box = boxes.get(ref)
+        if box is None:
+            return None
+        msg = box.popleft()[1]
+        if not box:
+            del boxes[ref]
+        return msg
+
+    def leftover_deposits(self) -> Iterator[EntryMessage]:
+        """Deposits no ``when`` consumed, per method (in order of each
+        method's first deposit), oldest first within a method."""
+        for boxes in self._mailboxes.values():
+            # Deposit numbers are unique, so the sort never compares messages.
+            for _n, msg in sorted(entry for box in boxes.values() for entry in box):
+                yield msg
 
     def _take_waiting_frame(self, method: str, ref: Any) -> Optional[Frame]:
         for frame in self._frames:

@@ -468,14 +468,13 @@ class Sanitizer:
             return
         for array in runtime._arrays.values():
             for chare in array.elements.values():
-                for mailbox, box in chare._mailboxes.items():
-                    for msg in box:
-                        self._record(
-                            "dangling-mailbox", repr(chare),
-                            f"deposit into mailbox '{mailbox}' "
-                            f"(ref={msg.ref!r}) was never consumed by a "
-                            f"when() — dropped completion or missing receive",
-                        )
+                for msg in chare.leftover_deposits():
+                    self._record(
+                        "dangling-mailbox", repr(chare),
+                        f"deposit into mailbox '{msg.method}' "
+                        f"(ref={msg.ref!r}) was never consumed by a "
+                        f"when() — dropped completion or missing receive",
+                    )
 
     def _scan_transfers(self) -> None:
         for handle in self._transfers.values():

@@ -293,6 +293,8 @@ class Process(Event):
     __slots__ = ("_generator", "_send", "_throw", "_waiting_on", "_resume_cb")
 
     _crashable = True
+    #: Set on processes started by :meth:`Engine.spawn`.
+    _detached = False
 
     def __init__(self, engine: "Engine", generator: ProcessGenerator, name: str = ""):
         if not hasattr(generator, "throw"):
@@ -305,16 +307,22 @@ class Process(Event):
         self._throw = generator.throw
         # One bound method for the process's whole life: _resume re-registers
         # itself on every yielded event, and `self._resume` builds a fresh
-        # bound object each time it is evaluated.
+        # bound object each time it is evaluated.  All three bound methods
+        # point back at the process, so _release drops them when it
+        # finishes: a finished process must be freed by reference counting.
         self._resume_cb = self._resume
-        self._waiting_on: Optional[Event] = None
-        # Kick off at the current time via an immediately-triggered event.
-        start = Event(engine, name="<start>")
+        # Kick off at the current time through the pooled path: the same
+        # push and sequence number as an immediately-triggered start event,
+        # without allocating one.
+        pool = engine._event_pool
+        start = pool.pop() if pool else _PooledEvent(engine, name="<pause>")
         start._state = TRIGGERED
-        start._ok = True
-        engine._push(0.0, NORMAL, start)
-        start.add_callback(self._resume_cb)
-        self._waiting_on = start
+        start._waiter = self._resume_cb
+        _heappush(engine._heap, (engine.now, NORMAL, engine._seq, start))
+        engine._seq += 1
+        if engine.metrics is not None:
+            engine.metrics.inc("sim.events.scheduled")
+        self._waiting_on: Optional[Event] = start
 
     @property
     def is_alive(self) -> bool:
@@ -341,6 +349,17 @@ class Process(Event):
         wake.add_callback(self._resume_cb)
         self._waiting_on = wake
 
+    def _release(self) -> None:
+        """Drop the self-bound methods once the generator is done, breaking
+        the process -> bound method -> process cycles."""
+        self._resume_cb = self._send = self._throw = None
+
+    def _abort(self, exc: SimulationError) -> None:
+        """Fail the process for an invalid yield, closing its generator."""
+        self._generator.close()
+        self._release()
+        self.fail(exc)
+
     def _resume(self, trigger: Event) -> None:
         if self._state != PENDING:  # stale wakeup after the process finished
             return
@@ -354,12 +373,20 @@ class Process(Event):
                 target = self._throw(trigger._value)
         except StopIteration as stop:
             engine._active_process = None
-            self.succeed(stop.value)
+            self._release()
+            if self._detached and not self.callbacks:
+                # Fire-and-forget (Engine.spawn) with nobody waiting: finish
+                # in place instead of pushing a completion nobody observes.
+                self._state = PROCESSED
+                self._value = stop.value
+            else:
+                self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate as failure
             engine._active_process = None
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
+            self._release()
             self.fail(exc)
             return
         engine._active_process = None
@@ -371,8 +398,7 @@ class Process(Event):
             # scheduled identically (one push, one sequence number) but
             # with the pause inlined: no constructor, no dispatch checks.
             if target < 0:
-                self._generator.close()
-                self.fail(SimulationError(f"cannot schedule into the past (delay={target})"))
+                self._abort(SimulationError(f"cannot schedule into the past (delay={target})"))
                 return
             pool = engine._event_pool
             ev = pool.pop() if pool else _PooledEvent(engine, name="<pause>")
@@ -388,18 +414,24 @@ class Process(Event):
             crash = SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must yield Event objects"
             )
-            self._generator.close()
-            self.fail(crash)
+            self._abort(crash)
             return
         if target.engine is not engine:
-            self._generator.close()
-            self.fail(SimulationError("yielded event belongs to a different engine"))
+            self._abort(SimulationError("yielded event belongs to a different engine"))
             return
         self._waiting_on = target
         if target._state != PROCESSED:
             target.callbacks.append(self._resume_cb)
         else:  # already-processed target: resume immediately (add_callback semantics)
             self._resume(target)
+
+
+class _SpawnedProcess(Process):
+    """A process started by :meth:`Engine.spawn` (fire-and-forget)."""
+
+    __slots__ = ()
+
+    _detached = True
 
 
 class Engine:
@@ -483,6 +515,18 @@ class Engine:
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a new process from ``generator`` at the current time."""
         return Process(self, generator, name=name)
+
+    def spawn(self, generator: ProcessGenerator, name: str = "") -> Process:
+        """Start a fire-and-forget process from ``generator``.
+
+        Schedules exactly like :meth:`process`, except that a successful
+        finish with no waiter pushes no completion event: the process is
+        marked processed in place.  A failure still ends the run with
+        :class:`ProcessCrashed` naming the process.  Use it where nobody
+        waits on the process (per-message drivers); a process that is
+        waited on from the start behaves exactly like :meth:`process`.
+        """
+        return _SpawnedProcess(self, generator, name=name)
 
     def all_of(self, events: Iterable[Event], name: str = "") -> AllOf:
         """An event triggering when all of ``events`` have triggered."""

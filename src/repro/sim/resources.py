@@ -277,7 +277,9 @@ class Resource:
             self.users.append(req)
             if self.monitor is not None:
                 self.monitor.on_grant(self, req.amount)
-            req.succeed(req)
+            # No value: a request succeeding with itself would be a
+            # self-reference only the cycle collector could free.
+            req.succeed()
 
     def cancel(self, request: Request) -> None:
         """Withdraw a not-yet-granted request."""

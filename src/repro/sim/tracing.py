@@ -135,10 +135,19 @@ class IntervalTracker:
         self.engine = engine
         self.name = name
         self.spans: list[tuple[float, float]] = []
-        self._open: list[float] = []
+        # Start time per token, None once closed; closed slots are reused
+        # through ``_free``, so the list is as long as the most spans ever
+        # open at once.
+        self._open: list[Optional[float]] = []
+        self._free: list[int] = []
 
     def begin(self) -> int:
-        """Open a busy span; returns a token for :meth:`end`."""
+        """Open a busy span; returns a token for :meth:`end` (valid until
+        then: a closed token may be handed out again)."""
+        if self._free:
+            token = self._free.pop()
+            self._open[token] = self.engine.now
+            return token
         self._open.append(self.engine.now)
         return len(self._open) - 1
 
@@ -146,7 +155,8 @@ class IntervalTracker:
         start = self._open[token]
         if start is None:
             raise ValueError("span already closed")
-        self._open[token] = None  # type: ignore[call-overload]
+        self._open[token] = None
+        self._free.append(token)
         self.spans.append((start, self.engine.now))
 
     def busy_union(self) -> list[tuple[float, float]]:

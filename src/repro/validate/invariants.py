@@ -273,7 +273,7 @@ class InvariantChecker:
                 )
         for array in runtime._arrays.values():
             for chare in array.elements.values():
-                leftovers = {m: len(box) for m, box in chare._mailboxes.items() if box}
+                leftovers = dict(Counter(msg.method for msg in chare.leftover_deposits()))
                 if leftovers:
                     self._record(
                         "unconsumed-mailbox", repr(chare),

@@ -54,6 +54,39 @@ def test_fifo_matching_same_key():
     assert r1.peer is s1 and r2.peer is s2
 
 
+def test_matching_leaves_no_empty_queues():
+    eng, cluster, ucx = make_ctx()
+    for i in range(4):  # both posting orders, each on its own tag
+        if i % 2:
+            ucx.irecv(0, 6, 100, tag=i)
+            ucx.isend(0, 6, 100, tag=i)
+        else:
+            ucx.isend(0, 6, 100, tag=i)
+            ucx.irecv(0, 6, 100, tag=i)
+    eng.run()
+    assert ucx._pending_sends == {} and ucx._pending_recvs == {}
+
+
+def test_peer_links_are_strong_forward_and_weak_back():
+    """Only the send side gets a ``matched`` event; the send holds its
+    receive, while the receive's link back does not keep the send alive."""
+    import gc
+
+    eng, cluster, ucx = make_ctx()
+    r = ucx.irecv(0, 6, 100, tag="t")
+    s = ucx.isend(0, 6, 100, tag="t")
+    assert r.matched is None and s.matched.triggered
+    assert s.peer is r and r.peer is s
+    eng.run()
+    assert s.matched.value is r
+    gc.disable()
+    try:
+        del s  # the finished send driver released it too
+        assert r.peer is None
+    finally:
+        gc.enable()
+
+
 def test_rendezvous_send_blocks_until_recv_posted():
     eng, cluster, ucx = make_ctx()
     s = ucx.isend(0, 6, 100 * KiB, tag="t")  # host rendezvous

@@ -127,6 +127,52 @@ def test_when_none_ref_matches_any():
     assert AnyRef.got == [42]
 
 
+class MixedRefs(Chare):
+    """Takes one deposit with any ref, then the rest of ref "a" in order,
+    and leaves the ref "b" deposits in the mailbox."""
+
+    got = []
+
+    def run(self, msg):
+        m = yield self.when("data")  # oldest deposit across refs
+        MixedRefs.got.append((m.ref, m.payload))
+        for _ in range(2):
+            m = yield self.when("data", ref="a")
+            MixedRefs.got.append((m.ref, m.payload))
+
+
+def test_when_takes_oldest_across_refs_and_fifo_within_a_ref():
+    from repro.sanitize import Sanitizer
+    from repro.validate import InvariantChecker
+
+    eng, cluster, rt = make_runtime()
+    MixedRefs.got = []
+    sanitizer = Sanitizer().attach(eng)
+    sanitizer.watch_runtime(rt)
+    checker = InvariantChecker().attach(eng)
+    checker.watch_runtime(rt)
+    arr = rt.create_array(MixedRefs, shape=(1,))
+    proxy = arr.proxy[(0,)]
+    # Buffered before run starts: b1 is the oldest deposit overall.
+    for ref, payload in (("b", "b1"), ("a", "a1"), ("b", "b2"), ("a", "a2"), ("a", "a3")):
+        proxy.data(ref=ref, payload=payload)
+    arr.broadcast("run")
+    rt.run()
+    assert MixedRefs.got == [("b", "b1"), ("a", "a1"), ("a", "a2")]
+    chare = arr.elements[(0,)]
+    assert [(m.ref, m.payload) for m in chare.leftover_deposits()] == [("b", "b2"), ("a", "a3")]
+    # An emptied ref leaves no entry behind.
+    assert chare._mailbox_pop("data", "a").payload == "a3"
+    assert list(chare._mailboxes["data"]) == ["b"]
+    # Both end-of-run scanners still see the leftover deposit.
+    sanitizer.finish(raise_on_findings=False)
+    dangling = [d for d in sanitizer.findings if d.kind == "dangling-mailbox"]
+    assert len(dangling) == 1 and "ref='b'" in dangling[0].detail
+    checker.finish(raise_on_violation=False)
+    unconsumed = [v for v in checker.violations if v.rule == "unconsumed-mailbox"]
+    assert len(unconsumed) == 1 and "{'data': 1}" in unconsumed[0].detail
+
+
 def test_deadlock_detection_reports_stuck_when():
     class Stuck(Chare):
         def run(self, msg):

@@ -17,6 +17,7 @@ from repro.sim import (
     Engine,
     FilterStore,
     Interrupt,
+    ProcessCrashed,
     SimulationError,
     Store,
 )
@@ -289,6 +290,127 @@ def test_observed_loop_counts_match_bare_loop():
     assert observed == bare
     assert registry.counter("sim.events.executed").value() == bare[0]
     assert registry.counter("sim.events.scheduled").value() == bare[0]
+
+
+# ---------------------------------------------------------------------------
+# Pooled process start and fire-and-forget spawn
+# ---------------------------------------------------------------------------
+
+
+def _fan_out(eng, start, n=6):
+    """n short processes started through ``start`` (process or spawn), each
+    interleaved at t=0 with a timeout and a plain event; returns the log."""
+    log = []
+
+    def worker(i):
+        log.append(("start", i, eng.now))
+        yield 0.5 * (i % 3)
+        log.append(("mid", i, eng.now))
+        yield eng.timeout(1.0)
+        log.append(("end", i, eng.now))
+
+    for i in range(n):
+        eng.timeout(0.0).add_callback(lambda _ev, i=i: log.append(("timeout", i, eng.now)))
+        start(worker(i), name=f"w{i}")
+        ev = eng.event()
+        ev.add_callback(lambda _ev, i=i: log.append(("event", i, eng.now)))
+        ev.succeed()
+    return log
+
+
+def test_spawn_drops_exactly_one_event_per_process():
+    """A spawned process schedules exactly like a started one, minus the
+    completion event nobody waits on."""
+    eng_p, eng_s = Engine(), Engine()
+    log_p = _fan_out(eng_p, eng_p.process)
+    log_s = _fan_out(eng_s, eng_s.spawn)
+    eng_p.run()
+    eng_s.run()
+    assert log_s == log_p
+    assert eng_s.now == eng_p.now
+    assert eng_p.events_executed - eng_s.events_executed == 6
+    assert eng_p._seq - eng_s._seq == 6
+
+
+def test_pooled_start_keeps_same_timestamp_order():
+    """The start takes its sequence number at creation, so a process's
+    first step interleaves with same-time timeouts and events strictly in
+    creation order — and the start event is drawn from the pool."""
+    eng = Engine()
+    log = _fan_out(eng, eng.process)
+    eng.run()
+    at_zero = [(kind, i) for kind, i, t in log if t == 0.0 and kind != "mid"]
+    assert at_zero == [(kind, i) for i in range(6) for kind in ("timeout", "start", "event")]
+    proc = eng.process(x for x in ())
+    assert proc._waiting_on._poolable
+
+
+def test_spawned_failure_raises_process_crashed_naming_it():
+    eng = Engine()
+
+    def broken():
+        yield 1.0
+        raise ValueError("bad transfer")
+
+    eng.spawn(broken(), name="net.xfer")
+    with pytest.raises(ProcessCrashed, match="net.xfer.*bad transfer"):
+        eng.run()
+
+
+def test_spawned_process_waited_on_still_completes():
+    eng = Engine()
+    seen = []
+
+    def child():
+        yield 1.0
+        return "value"
+
+    def parent(proc):
+        seen.append((yield proc))
+
+    eng.process(parent(eng.spawn(child())))
+    eng.run()
+    assert seen == ["value"]
+
+
+@pytest.mark.parametrize("start", ["process", "spawn"])
+def test_interrupt_before_first_resume(start):
+    """Interrupting a process before its pooled start has fired defuses the
+    start: the generator sees only the interrupt, and the defused start
+    event recycles with no stale waiter."""
+    eng = Engine()
+    log = []
+
+    def sleeper():
+        log.append("ran")
+        yield 5.0
+
+    proc = getattr(eng, start)(sleeper(), name="sleeper")
+    proc.interrupt(cause="early")
+
+    def watcher():
+        try:
+            yield proc
+        except Interrupt as exc:
+            log.append(("interrupted", eng.now, exc.cause))
+
+    eng.process(watcher())
+    eng.run()
+    assert log == [("interrupted", 0.0, "early")]
+    assert not proc.is_alive
+    assert all(ev._waiter is None for ev in eng._event_pool)
+
+
+def test_finished_process_drops_self_bound_methods():
+    eng = Engine()
+
+    def short():
+        yield 1.0
+
+    proc = eng.process(short())
+    assert proc._resume_cb is not None
+    eng.run()
+    assert (proc._resume_cb, proc._send, proc._throw) == (None, None, None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for tracing, interval tracking, and overlap math."""
 
+import pytest
+
 from repro.sim import Engine, IntervalTracker, Tracer, merge_intervals, overlap_seconds, trace
 
 
@@ -91,6 +93,46 @@ def test_interval_tracker_overlapping_spans_union():
     eng.run()
     assert tracker.busy_union() == [(0.0, 5.0)]
     assert tracker.busy_seconds() == 5.0
+
+
+def test_interval_tracker_reuses_closed_slots():
+    eng = Engine()
+    tracker = IntervalTracker(eng, "seq")
+
+    def proc():
+        for _ in range(50):
+            t = tracker.begin()
+            yield 1.0
+            tracker.end(t)
+
+    eng.process(proc())
+    eng.run()
+    assert len(tracker._open) == 1
+    assert tracker.spans == [(float(i), float(i + 1)) for i in range(50)]
+    with pytest.raises(ValueError, match="already closed"):
+        tracker.end(0)
+
+
+def test_interval_tracker_overlapping_spans_unchanged_by_slot_reuse():
+    """Interleaved begin/end in every nesting pattern records the same
+    spans, in the same order, as one fresh slot per span would."""
+    eng = Engine()
+    tracker = IntervalTracker(eng, "overlap")
+    expected = []
+
+    def span(start, length):
+        yield float(start)
+        t = tracker.begin()
+        yield float(length)
+        tracker.end(t)
+        expected.append((float(start), float(start + length)))
+
+    for start, length in ((0, 5), (1, 1), (1, 3), (2, 6), (3, 1), (6, 1), (7, 2)):
+        eng.process(span(start, length))
+    eng.run()
+    assert tracker.spans == expected
+    assert len(tracker._open) == 4  # most spans ever open at once
+    assert all(start is None for start in tracker._open)
 
 
 def test_interval_tracker_windowed_busy():
