@@ -14,11 +14,11 @@ Usage:  python examples/fault_tolerance.py
 
 import numpy as np
 
-from repro.apps import AppContext, Jacobi3DConfig, run_jacobi3d
+from repro.apps import Jacobi3DConfig, StencilContext, run_app
 from repro.hardware import Cluster, MachineSpec
 from repro.kernels import reference_solve
 from repro.runtime import CharmRuntime, restore_array, take_checkpoint
-from repro.apps.jacobi3d.charm_app import make_block_class
+from repro.apps.stencil import make_block_class
 
 GRID = (48, 48, 48)
 PHASE_ITERS = 6
@@ -33,11 +33,11 @@ def main() -> None:
                           data_mode="functional", machine=machine)
     print(f"phase 1: {cfg1.n_blocks()} chares on {cfg1.n_pes()} GPUs "
           f"(2 nodes, ODF {cfg1.odf}), {PHASE_ITERS} iterations")
-    res1 = run_jacobi3d(cfg1)
+    res1 = run_app(cfg1)
     print(f"  done at t={res1.total_time * 1e3:.2f} ms simulated")
 
     # ---- checkpoint with modeled buddy-copy cost ---------------------------
-    # (demonstrated on a fresh runtime holding the same states: run_jacobi3d
+    # (demonstrated on a fresh runtime holding the same states: run_app
     # returns block interiors; the runtime-level API prices the buddy copies)
     engine_cost = _checkpoint_cost_demo(cfg1, res1)
     print(f"  checkpoint: double in-memory, buddy copies cost "
@@ -52,12 +52,12 @@ def main() -> None:
     print(f"phase 2: restart the same {cfg2.n_blocks()} chares on "
           f"{cfg2.n_pes()} GPUs (1 node, ODF {cfg2.odf}), "
           f"{PHASE_ITERS} more iterations")
-    res2 = run_jacobi3d(cfg2, initial_state=res1.blocks)
+    res2 = run_app(cfg2, initial_state=res1.blocks)
     print(f"  done at t={res2.total_time * 1e3:.2f} ms simulated "
           f"({res2.time_per_iteration * 1e6:.1f} us/iter on half the GPUs)")
 
     # ---- the proof ----------------------------------------------------------
-    final = res2.assemble_grid(AppContext(cfg2).geometry)
+    final = res2.assemble_grid(StencilContext(cfg2).geometry)
     ref = reference_solve(GRID, 2 * PHASE_ITERS)[1:-1, 1:-1, 1:-1]
     exact = np.array_equal(final, ref)
     print(f"\nrestarted result bit-identical to an uninterrupted "
@@ -84,7 +84,7 @@ def _checkpoint_cost_demo(cfg, res) -> float:
         def unpup(self, state):
             pass
 
-    geo = AppContext(cfg).geometry
+    geo = StencilContext(cfg).geometry
     array = runtime.create_array(Holder, shape=geo.shape)
     ckpt = take_checkpoint(runtime, array)
     # Round-trip sanity: the checkpoint must survive either single failure.

@@ -13,7 +13,7 @@ Usage:  python examples/fusion_and_graphs.py [--nodes 1 4 16]
 
 import argparse
 
-from repro.apps import Jacobi3DConfig, run_jacobi3d
+from repro.apps import Jacobi3DConfig, run_app
 from repro.kernels import FusionStrategy, kernel_launches_per_iteration
 
 
@@ -22,7 +22,7 @@ def run(nodes: int, odf: int, fusion, graphs: bool) -> float:
         version="charm-d", nodes=nodes, grid=(768, 768, 768), odf=odf,
         fusion=fusion, cuda_graphs=graphs, iterations=6, warmup=1,
     )
-    return run_jacobi3d(cfg).time_per_iteration
+    return run_app(cfg).time_per_iteration
 
 
 def main() -> None:

@@ -13,7 +13,7 @@ Usage:  python examples/profile_timeline.py [out.trace.json]
 import json
 import sys
 
-from repro.apps import Jacobi3DConfig, run_jacobi3d
+from repro.apps import Jacobi3DConfig, run_app
 from repro.hardware import MachineSpec
 from repro.sim import Tracer, to_chrome_trace
 
@@ -30,7 +30,7 @@ def main() -> None:
         warmup=1,
         machine=MachineSpec.small_debug(),
     )
-    result = run_jacobi3d(config, tracer=tracer)
+    result = run_app(config, tracer=tracer)
     events = to_chrome_trace(tracer)
     with open(out_path, "w") as fh:
         json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, fh)

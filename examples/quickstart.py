@@ -11,7 +11,7 @@ Usage:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.apps import AppContext, Jacobi3DConfig, run_jacobi3d
+from repro.apps import Jacobi3DConfig, StencilContext, run_app
 from repro.kernels import reference_solve
 
 
@@ -28,10 +28,10 @@ def main() -> None:
     print(f"Running {config.version} on {config.nodes} nodes "
           f"({config.n_pes()} GPUs, {config.n_blocks()} chares), "
           f"grid {config.grid}, {config.total_iterations} iterations...")
-    result = run_jacobi3d(config)
+    result = run_app(config)
 
     # --- numerics: distributed == serial, exactly -------------------------
-    geometry = AppContext(config).geometry
+    geometry = StencilContext(config).geometry
     distributed = result.assemble_grid(geometry)
     serial = reference_solve(config.grid, config.total_iterations)[1:-1, 1:-1, 1:-1]
     exact = np.array_equal(distributed, serial)

@@ -13,14 +13,14 @@ edits.  Three questions the paper raises but cannot answer on Summit:
 Usage:  python examples/what_if_machine.py
 """
 
-from repro.apps import Jacobi3DConfig, run_jacobi3d
+from repro.apps import Jacobi3DConfig, run_app
 from repro.hardware import GiB, MachineSpec
 
 
 def per_iter(machine, version, grid, nodes=4, odf=1, **kw) -> float:
     cfg = Jacobi3DConfig(version=version, nodes=nodes, grid=grid, odf=odf,
                          machine=machine, iterations=5, warmup=1, **kw)
-    return run_jacobi3d(cfg).time_per_iteration
+    return run_app(cfg).time_per_iteration
 
 
 def main() -> None:

@@ -9,9 +9,9 @@ every figure in the paper's evaluation.
 
 Quick start::
 
-    from repro.apps import Jacobi3DConfig, run_jacobi3d
+    from repro.apps import Jacobi3DConfig, run_app
 
-    result = run_jacobi3d(
+    result = run_app(
         Jacobi3DConfig(version="charm-d", nodes=2, grid=(256, 256, 256), odf=4)
     )
     print(result.time_per_iteration)

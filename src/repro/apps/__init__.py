@@ -6,9 +6,12 @@ The app framework has three pieces:
   process-wide registry.  Everything downstream (cache, runner, CLI,
   differential matrix, golden store, observatory) dispatches on the
   stable ``app`` name carried in every config dict.
+* :mod:`~repro.apps.appbase` — the app-agnostic contract:
+  :class:`BaseAppConfig` (every app's config base), :class:`AppResult`,
+  and the metrics/residual collectors every context feeds.
 * :mod:`~repro.apps.stencil` — the reusable halo-exchange/stencil core:
-  dimension-generic geometry, config, context, and the charm/mpi/ampi
-  frontends with fusion strategies and the CUDA-graphs path.
+  dimension-generic geometry, config, context, the Charm++ chare with
+  fusion strategies and the CUDA-graphs path, and the MPI rank program.
 * The registered workloads: :mod:`~repro.apps.jacobi3d` (the paper's
   7-point 3D proxy app), :mod:`~repro.apps.jacobi2d` (a 5-point 2D
   stencil proving the abstraction), :mod:`~repro.apps.cholesky` (a tiled
@@ -21,18 +24,11 @@ Importing this package registers all apps.
 
 from . import registry as registry  # noqa: F401  (import order matters)
 from .allreduce import AllreduceConfig, AllreduceResult
+from .appbase import ALL_VERSIONS, VERSIONS, BaseAppConfig
 from .cholesky import CholeskyConfig, CholeskyResult
 from .driver import run_app
-from .jacobi2d import Jacobi2DConfig, Jacobi2DResult
-from .jacobi3d import (
-    ALL_VERSIONS,
-    VERSIONS,
-    AppContext,
-    BlockData,
-    Jacobi3DConfig,
-    Jacobi3DResult,
-    run_jacobi3d,
-)
+from .jacobi2d import Jacobi2DConfig
+from .jacobi3d import Jacobi3DConfig
 from .registry import (
     AppSpec,
     app_names,
@@ -42,8 +38,10 @@ from .registry import (
     spec_for,
 )
 from .stencil import (
+    BlockData,
     BlockGeometry,
     StencilConfig,
+    StencilContext,
     StencilResult,
     factor_triples,
     factor_tuples,
@@ -58,7 +56,9 @@ __all__ = [
     "config_from_dict",
     "result_from_dict",
     "run_app",
+    "BaseAppConfig",
     "StencilConfig",
+    "StencilContext",
     "StencilResult",
     "BlockGeometry",
     "factor_triples",
@@ -66,15 +66,11 @@ __all__ = [
     "partition_dims",
     "VERSIONS",
     "ALL_VERSIONS",
-    "AppContext",
     "BlockData",
     "Jacobi3DConfig",
-    "Jacobi3DResult",
     "Jacobi2DConfig",
-    "Jacobi2DResult",
     "CholeskyConfig",
     "CholeskyResult",
     "AllreduceConfig",
     "AllreduceResult",
-    "run_jacobi3d",
 ]

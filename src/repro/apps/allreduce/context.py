@@ -29,8 +29,7 @@ from typing import Optional
 import numpy as np
 
 from ...hardware.gpu import KernelWork
-from ..appbase import FallbackMetrics
-from ..stencil.context import ResidualHistory
+from ..appbase import FallbackMetrics, ResidualHistory
 from .config import AllreduceConfig
 
 __all__ = ["AllreduceContext", "AllreduceData", "RoundStep"]

@@ -1,47 +1,77 @@
-"""Shared config/result machinery for non-stencil applications.
+"""Config/result/metrics machinery shared by every application.
 
-The stencil family grew its own config/result base first
-(:mod:`repro.apps.stencil.config`); this module factors the app-agnostic
-half of that contract so task-DAG and collective apps (cholesky,
-allreduce) can plug into the same driver, cache, differential matrix and
-golden store without inheriting stencil-only axes (grid, fusion, CUDA
-graphs, legacy sync).
-
-* :class:`BaseAppConfig` — the minimal config surface the generic driver
-  (:func:`repro.apps.driver.run_app`) and the exec layer rely on:
-  version/nodes/odf/data_mode/machine plus the derived predicates and the
-  ``to_dict``/``from_dict``/cache-key conventions.
+* :class:`BaseAppConfig` — the config base every registered app's config
+  subclasses: version/nodes/odf/data_mode/machine plus the derived
+  predicates and the ``to_dict``/``from_dict``/cache-key conventions the
+  generic driver (:func:`repro.apps.driver.run_app`) and the exec layer
+  rely on.  The stencil apps add their grid/fusion/graphs axes on
+  :class:`~repro.apps.stencil.config.StencilConfig`.
 * :class:`AppResult` — the measured outcome every app run produces; the
   driver constructs it field-by-field, so its field list *is* the driver
   contract.  :class:`~repro.apps.stencil.config.StencilResult` subclasses
   it (adding grid assembly), as do the cholesky/allreduce results.
-* :class:`FallbackMetrics` — a :class:`~repro.apps.stencil.context.
-  MetricsCollector` whose period estimate degrades gracefully for runs
-  with a single measured step (e.g. a one-tile Cholesky factorization).
+* :class:`MetricsCollector` / :class:`ResidualHistory` — per-unit
+  iteration timing and the per-iteration exact residual combiner, fed by
+  every app's context.  :class:`FallbackMetrics` is a collector whose
+  period estimate degrades gracefully for runs with a single measured
+  step (e.g. a one-tile Cholesky factorization).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, fields, replace
+from enum import Enum
 from typing import Any, ClassVar, Optional
 
 from ..hardware.specs import MachineSpec
 
-__all__ = ["ALL_VERSIONS", "AppResult", "BaseAppConfig", "FallbackMetrics"]
+__all__ = [
+    "ALL_VERSIONS",
+    "VERSIONS",
+    "AppResult",
+    "BaseAppConfig",
+    "FallbackMetrics",
+    "MetricsCollector",
+    "ResidualHistory",
+]
 
-#: Same runnable-frontend vocabulary as the stencil apps (paper's four
-#: versions plus the AMPI extension pair).
-ALL_VERSIONS = ("mpi-h", "mpi-d", "charm-h", "charm-d", "ampi-h", "ampi-d")
+#: The paper's four versions (§IV-A): MPI/Charm++ × host-staging/GPU-aware.
+VERSIONS = ("mpi-h", "mpi-d", "charm-h", "charm-d")
+
+#: All runnable frontends: the paper's four plus AMPI (virtualized MPI ranks
+#: hosted on the Charm++ runtime; ``odf`` is the virtualization ratio).
+#: The AMPI versions exist for the cross-backend differential validation
+#: harness and the AMPI extension experiments, not for the paper's figures.
+ALL_VERSIONS = VERSIONS + ("ampi-h", "ampi-d")
 
 
 @dataclass(frozen=True)
 class BaseAppConfig:
-    """Config base for non-stencil apps.
+    """Config base for every app.
 
     Subclasses declare :attr:`APP`, append their own axes, and call
     :meth:`_validate_common` from ``__post_init__``.  ``iterations`` and
     ``warmup`` are *not* fields here — iterative apps add them as fields,
     DAG apps derive them (Cholesky's step count is its tile count).
+
+    Parameters
+    ----------
+    version:
+        ``"mpi-h"`` | ``"mpi-d"`` | ``"charm-h"`` | ``"charm-d"`` —
+        plus ``"ampi-h"`` | ``"ampi-d"`` (virtualized MPI ranks on the
+        Charm++ runtime; used by the differential validation harness).
+    nodes:
+        Node count (6 GPUs/PEs per node on Summit).
+    odf:
+        Overdecomposition factor — chares per PE (Charm++ versions) or
+        virtual ranks per PE (AMPI versions); plain MPI is always one
+        rank per GPU.
+    data_mode:
+        ``"modeled"`` (sizes only — any scale) or ``"functional"`` (real
+        NumPy data — validates numerics, test-scale problems only).
+    machine:
+        Hardware model; defaults to Summit.
     """
 
     #: Registry name of the app this config class belongs to.
@@ -70,7 +100,7 @@ class BaseAppConfig:
         if self.data_mode not in ("modeled", "functional"):
             raise ValueError(f"bad data_mode {self.data_mode!r}")
 
-    # -- derived (same vocabulary as StencilConfig) -------------------------
+    # -- derived ---------------------------------------------------------------
     @property
     def app(self) -> str:
         """Registry name of this config's app."""
@@ -115,12 +145,22 @@ class BaseAppConfig:
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> dict:
-        """Plain-data form; the ``app`` name leads so the content-addressed
-        cache (:mod:`repro.exec.cache`) never aliases two apps' runs."""
+        """Plain-data form, stable across processes: only numbers, strings,
+        bools, lists and the machine dict (tuples become lists, enums their
+        ``.value``).  The dict fully determines the run, so it doubles as the
+        content-addressed cache identity (:mod:`repro.exec.cache`) and the
+        worker-dispatch payload; the ``app`` name leads so two apps with
+        coincidentally equal parameters never share a cache key."""
         out = {"app": type(self).APP}
         for f in fields(self):
             value = getattr(self, f.name)
-            out[f.name] = value.to_dict() if f.name == "machine" else value
+            if f.name == "machine":
+                value = value.to_dict()
+            elif isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, Enum):
+                value = value.value
+            out[f.name] = value
         return out
 
     @classmethod
@@ -232,38 +272,117 @@ class AppResult:
         )
 
 
-_FALLBACK_METRICS = None
+class ResidualHistory:
+    """Per-iteration residual of an app's functional run.
+
+    Each unit records one exact scalar per iteration (the stencils' max-norm
+    delta ``max |out - u|`` over the unit's own cells, Cholesky's and
+    allreduce's update magnitudes); :meth:`history` combines units by
+    ``max``.  Because ``max`` is an exact selection (no rounding), the
+    combined history is **bitwise identical** across decompositions,
+    schedules and runtimes — which is exactly what the differential
+    validation harness (:mod:`repro.validate.differential`) asserts.
+    """
+
+    def __init__(self, n_blocks: int, total_iterations: int):
+        self.n_blocks = n_blocks
+        self.total_iterations = total_iterations
+        self._deltas: dict[int, dict] = {}  # iteration -> {block index: delta}
+
+    def record(self, block_index, iteration: int, delta: float) -> None:
+        per_block = self._deltas.setdefault(iteration, {})
+        key = tuple(block_index)
+        if key in per_block:
+            raise RuntimeError(f"block {key} recorded iteration {iteration} twice")
+        per_block[key] = delta
+
+    def history(self) -> list[float]:
+        """Combined per-iteration residuals; raises if any block is missing."""
+        out = []
+        for it in range(self.total_iterations):
+            per_block = self._deltas.get(it, {})
+            if len(per_block) != self.n_blocks:
+                raise RuntimeError(
+                    f"iteration {it}: only {len(per_block)}/{self.n_blocks} "
+                    "blocks recorded a residual"
+                )
+            out.append(max(per_block.values()))
+        return out
 
 
-def _make_fallback_metrics():
-    """Deferred import: the stencil config imports this module, so building
-    the subclass at load time would close an import cycle through
-    ``stencil.context``."""
-    from .stencil.context import MetricsCollector
+class MetricsCollector:
+    """Gathers per-unit iteration completion times.
 
-    class FallbackMetrics(MetricsCollector):
-        """A :class:`MetricsCollector` that degrades gracefully when no unit
-        records two post-warmup completions (a one-step run, e.g. a
-        single-tile Cholesky): the period falls back to the whole measured
-        window divided by the measured step count."""
+    ``warmup_boundary`` is the latest time at which any unit finished the
+    last warmup iteration: the measured window is ``[boundary, end]``.
+    """
 
-        def time_per_iteration(self, measured_iterations: int) -> float:
-            try:
-                return super().time_per_iteration(measured_iterations)
-            except RuntimeError:
-                finishes = [t[-1] for t in self._tail_times.values() if t]
-                if not finishes:
-                    raise
-                window = max(finishes) - self.warmup_boundary
-                return window / max(1, measured_iterations)
+    #: Steady-state tail: the per-unit period is taken over (up to) this many
+    #: final iterations, so startup transients and cross-unit skew cancel.
+    TAIL = 6
 
-    return FallbackMetrics
+    def __init__(self, n_units: int, warmup: int):
+        self.n_units = n_units
+        self.warmup = warmup
+        self.warmup_boundary = 0.0
+        self.last_iteration: dict[Any, int] = {}
+        self._tail_times: dict[Any, deque] = {}
+
+    def on_event(self, name: str, unit, **data) -> None:
+        if name != "iter_done":
+            return
+        it = data["iter"]
+        now = data["now"]
+        key = getattr(unit, "index", None) or getattr(unit, "rank", None)
+        self.last_iteration[key] = it
+        if it >= self.warmup:  # warmup iterations never enter the estimate
+            tail = self._tail_times.get(key)
+            if tail is None:
+                tail = self._tail_times[key] = deque(maxlen=self.TAIL + 1)
+            tail.append(now)
+        if self.warmup > 0 and it == self.warmup - 1 and now > self.warmup_boundary:
+            self.warmup_boundary = now
+
+    def time_per_iteration(self, measured_iterations: int) -> float:
+        """Steady-state iteration period.
+
+        Each unit's period is measured over its own last ``TAIL``
+        iterations (self-referencing timestamps, so cross-unit skew does not
+        bias the estimate and startup transients are excluded).
+        """
+        periods = []
+        for times in self._tail_times.values():
+            if len(times) >= 2:
+                periods.append((times[-1] - times[0]) / (len(times) - 1))
+        if not periods:
+            raise RuntimeError("need at least 2 iterations to estimate a period")
+        # Mean over units: halo coupling locks every unit to the same
+        # long-run rate, and the mean damps per-unit pipeline oscillation
+        # that a max would amplify.
+        return sum(periods) / len(periods)
+
+    def check_complete(self, total_iterations: int) -> None:
+        if len(self.last_iteration) != self.n_units:
+            raise RuntimeError(
+                f"only {len(self.last_iteration)}/{self.n_units} units reported progress"
+            )
+        lagging = {k: v for k, v in self.last_iteration.items() if v != total_iterations - 1}
+        if lagging:
+            raise RuntimeError(f"units stopped early: {lagging}")
 
 
-def __getattr__(name):  # PEP 562: lazy FallbackMetrics (import-cycle break)
-    global _FALLBACK_METRICS
-    if name == "FallbackMetrics":
-        if _FALLBACK_METRICS is None:
-            _FALLBACK_METRICS = _make_fallback_metrics()
-        return _FALLBACK_METRICS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+class FallbackMetrics(MetricsCollector):
+    """A :class:`MetricsCollector` that degrades gracefully when no unit
+    records two post-warmup completions (a one-step run, e.g. a
+    single-tile Cholesky): the period falls back to the whole measured
+    window divided by the measured step count."""
+
+    def time_per_iteration(self, measured_iterations: int) -> float:
+        try:
+            return super().time_per_iteration(measured_iterations)
+        except RuntimeError:
+            finishes = [t[-1] for t in self._tail_times.values() if t]
+            if not finishes:
+                raise
+            window = max(finishes) - self.warmup_boundary
+            return window / max(1, measured_iterations)

@@ -13,13 +13,12 @@ assembled factor bitwise against ``numpy.linalg.cholesky`` (see
 
 from ...hardware.specs import MachineSpec
 from ..registry import AppSpec, register
-from .ampi_app import make_cholesky_ampi_rank_class
 from .charm_app import make_cholesky_block_class
 from .config import CholeskyConfig, CholeskyResult
 from .context import CholeskyContext, CholeskyData
-from .mpi_app import make_cholesky_rank_class
 from .ops import generate_spd, reference_cholesky_tiles
 from .phases import CHOLESKY_PHASES, CHOLESKY_PHASE_KERNELS, classify_cholesky_op
+from .rank_program import make_cholesky_rank_program
 
 __all__ = [
     "CHOLESKY_PHASES",
@@ -89,8 +88,7 @@ SPEC = register(AppSpec(
     result_cls=CholeskyResult,
     make_context=CholeskyContext,
     make_block_class=make_cholesky_block_class,
-    make_rank_class=make_cholesky_rank_class,
-    make_ampi_rank_class=make_cholesky_ampi_rank_class,
+    make_rank_program=make_cholesky_rank_program,
     phases=CHOLESKY_PHASES,
     classify_op=classify_cholesky_op,
     phase_kernels=CHOLESKY_PHASE_KERNELS,

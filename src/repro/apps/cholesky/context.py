@@ -25,8 +25,7 @@ import numpy as np
 
 from ...hardware.gpu import KernelWork
 from ...runtime.taskspace import TaskSpace
-from ..appbase import FallbackMetrics
-from ..stencil.context import ResidualHistory
+from ..appbase import FallbackMetrics, ResidualHistory
 from .config import CholeskyConfig
 from .ops import gemm_update, generate_spd, potrf_tile, syrk_update, trsm_tile
 

@@ -3,17 +3,19 @@
 :func:`run_app` owns everything that is *not* app-specific — engine,
 cluster, tracer/observatory attachment, invariant checking, metrics
 collection, and result assembly.  The app supplies only its config class,
-context factory and frontend block/rank classes, all looked up through its
-:class:`~repro.apps.registry.AppSpec`.
+context factory, Charm++ chare class and MPI rank program, all looked up
+through its :class:`~repro.apps.registry.AppSpec`.  The rank program runs
+unchanged under plain MPI and AMPI; the two host classes below differ only
+in *when* device setup runs.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..ampi import AmpiWorld
+from ..ampi import AmpiProcess, AmpiWorld
 from ..hardware import COMPUTE, Cluster
-from ..mpi import MpiWorld
+from ..mpi import MpiProcess, MpiWorld
 from ..obs.timeline import compute_comm_overlap
 from ..runtime import CharmRuntime
 from ..sim import Engine, Tracer, trace
@@ -21,6 +23,38 @@ from ..validate.invariants import InvariantChecker
 from .registry import spec_for
 
 __all__ = ["run_app"]
+
+
+def _mpi_rank_class(program):
+    """Host ``program`` as a plain-MPI rank (one per GPU)."""
+
+    class MpiRank(program, MpiProcess):
+        def init(self):
+            # pe/gpu are bound at construction: device setup happens here,
+            # preserving the historical event ordering (and cached results).
+            self._bind_unit()
+            self._setup_device()
+
+        def main(self, msg=None):
+            yield from self._main_body()
+
+    return MpiRank
+
+
+def _ampi_rank_class(program):
+    """Host ``program`` as an AMPI virtual rank (``odf`` per PE)."""
+
+    class AmpiRank(program, AmpiProcess):
+        def init(self):
+            # pe/gpu are bound only when the hosting chare attaches —
+            # device setup must wait for main().
+            self._bind_unit()
+
+        def main(self, msg=None):
+            self._setup_device()
+            yield from self._main_body()
+
+    return AmpiRank
 
 
 def run_app(
@@ -125,7 +159,7 @@ def run_app(
             checker.watch_runtime(world.runtime)
         if sanitizer is not None:
             sanitizer.watch_runtime(world.runtime)
-        ranks = world.launch(spec.make_ampi_rank_class(ctx))
+        ranks = world.launch(_ampi_rank_class(spec.make_rank_program(ctx)))
         world.run()
         ucx = world.runtime.ucx
         if config.functional:
@@ -135,7 +169,7 @@ def run_app(
         world.observe(observer)
         if checker is not None:
             checker.watch_ucx(world.ucx)
-        ranks = world.launch(spec.make_rank_class(ctx))
+        ranks = world.launch(_mpi_rank_class(spec.make_rank_program(ctx)))
         world.run()
         ucx = world.ucx
         if config.functional:

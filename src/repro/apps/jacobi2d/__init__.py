@@ -15,19 +15,12 @@ from ..stencil import (
     StencilContext,
     StencilResult,
     classify_stencil_op,
-    make_ampi_rank_class,
     make_block_class,
-    make_rank_class,
+    make_rank_program,
 )
-from .config import ALL_VERSIONS, VERSIONS, Jacobi2DConfig, Jacobi2DResult
+from .config import Jacobi2DConfig
 
-__all__ = [
-    "VERSIONS",
-    "ALL_VERSIONS",
-    "Jacobi2DConfig",
-    "Jacobi2DResult",
-    "SPEC",
-]
+__all__ = ["Jacobi2DConfig", "SPEC"]
 
 
 def _differential_base() -> Jacobi2DConfig:
@@ -65,8 +58,7 @@ SPEC = register(AppSpec(
     result_cls=StencilResult,
     make_context=StencilContext,
     make_block_class=make_block_class,
-    make_rank_class=make_rank_class,
-    make_ampi_rank_class=make_ampi_rank_class,
+    make_rank_program=make_rank_program,
     phases=STENCIL_PHASES,
     classify_op=classify_stencil_op,
     phase_kernels=STENCIL_PHASE_KERNELS,

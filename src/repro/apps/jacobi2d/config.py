@@ -1,4 +1,4 @@
-"""Configuration and result types for the Jacobi2D workload.
+"""Configuration for the Jacobi2D workload.
 
 Jacobi2D is the second registered application: a 5-point stencil on a 2D
 grid, run through the *same* charm/mpi/ampi frontends, fusion strategies
@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-from ..stencil.config import ALL_VERSIONS, VERSIONS, StencilConfig, StencilResult
+from ..stencil.config import StencilConfig
 
-__all__ = ["Jacobi2DConfig", "Jacobi2DResult", "VERSIONS", "ALL_VERSIONS"]
+__all__ = ["Jacobi2DConfig"]
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,3 @@ class Jacobi2DConfig(StencilConfig):
 
     grid: tuple = (1536, 1536)
 
-
-#: Jacobi2D results are plain stencil results (the config pins the app).
-Jacobi2DResult = StencilResult

@@ -23,31 +23,12 @@ from ..stencil import (
     StencilContext,
     StencilResult,
     classify_stencil_op,
-    make_ampi_rank_class,
     make_block_class,
-    make_rank_class,
     make_rank_program,
 )
-from .config import ALL_VERSIONS, VERSIONS, Jacobi3DConfig, Jacobi3DResult
-from .context import AppContext, BlockData, MetricsCollector, ResidualHistory
-from .driver import run_jacobi3d
+from .config import Jacobi3DConfig
 
-__all__ = [
-    "make_block_class",
-    "VERSIONS",
-    "ALL_VERSIONS",
-    "Jacobi3DConfig",
-    "Jacobi3DResult",
-    "AppContext",
-    "BlockData",
-    "MetricsCollector",
-    "ResidualHistory",
-    "run_jacobi3d",
-    "make_rank_class",
-    "make_ampi_rank_class",
-    "make_rank_program",
-    "SPEC",
-]
+__all__ = ["Jacobi3DConfig", "SPEC"]
 
 
 def _differential_base() -> Jacobi3DConfig:
@@ -91,8 +72,7 @@ SPEC = register(AppSpec(
     result_cls=StencilResult,
     make_context=StencilContext,
     make_block_class=make_block_class,
-    make_rank_class=make_rank_class,
-    make_ampi_rank_class=make_ampi_rank_class,
+    make_rank_program=make_rank_program,
     phases=STENCIL_PHASES,
     classify_op=classify_stencil_op,
     phase_kernels=STENCIL_PHASE_KERNELS,

@@ -1,4 +1,4 @@
-"""Configuration and result types for the Jacobi3D proxy application.
+"""Configuration for the Jacobi3D proxy application.
 
 Jacobi3D is the paper's workload: a 7-point stencil on a 3D grid.  All of
 the configuration surface (versions, ODF, fusion, CUDA graphs, data modes)
@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-from ..stencil.config import ALL_VERSIONS, VERSIONS, StencilConfig, StencilResult
+from ..stencil.config import StencilConfig
 
-__all__ = ["Jacobi3DConfig", "Jacobi3DResult", "VERSIONS", "ALL_VERSIONS"]
+__all__ = ["Jacobi3DConfig"]
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,3 @@ class Jacobi3DConfig(StencilConfig):
 
     grid: tuple = (192, 192, 192)
 
-
-#: Jacobi3D results are plain stencil results (the config pins the app).
-Jacobi3DResult = StencilResult

@@ -9,7 +9,8 @@ harness:
   carries the app name) and revives cached results via
   :func:`result_from_dict`;
 * the **generic driver** (:func:`repro.apps.driver.run_app`) uses
-  ``make_context`` and the three frontend factories;
+  ``make_context``, the Charm++ chare factory and the rank program it
+  hosts under MPI or AMPI;
 * the **observability layer** consumes the app-declared ``phases`` and
   ``classify_op`` instead of a hardcoded phase tuple;
 * the **validation layer** runs ``differential_base`` through the
@@ -45,7 +46,7 @@ class AppSpec:
     name: str
     #: One-line human description (``repro apps``).
     description: str
-    #: The app's :class:`~repro.apps.stencil.config.StencilConfig` subclass.
+    #: The app's :class:`~repro.apps.appbase.BaseAppConfig` subclass.
     config_cls: type
     #: The app's result class (``from_dict`` revives cache entries).
     result_cls: type
@@ -53,10 +54,10 @@ class AppSpec:
     make_context: Callable
     #: ``ctx -> Chare subclass`` (Charm++ frontend).
     make_block_class: Callable
-    #: ``ctx -> MpiProcess subclass`` (plain-MPI frontend).
-    make_rank_class: Callable
-    #: ``ctx -> AmpiProcess subclass`` (AMPI frontend).
-    make_ampi_rank_class: Callable
+    #: ``ctx -> rank-program mixin`` defining ``_bind_unit``,
+    #: ``_setup_device`` and ``_main_body``; the driver hosts it as an
+    #: ``MpiProcess`` (plain MPI) or an ``AmpiProcess`` (AMPI).
+    make_rank_program: Callable
     #: Declared cost-phase vocabulary, in display order.
     phases: tuple
     #: ``(category, op_name) -> phase`` trace classifier.

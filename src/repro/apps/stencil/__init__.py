@@ -5,13 +5,13 @@ Everything the Jacobi-style apps share, parameterized by dimensionality:
 * :mod:`~repro.apps.stencil.geometry` — surface-minimizing N-D block
   decomposition (:class:`BlockGeometry`);
 * :mod:`~repro.apps.stencil.config` — :class:`StencilConfig` /
-  :class:`StencilResult`, the per-app config base with the ``app`` name in
-  its serialized (and cache-key) form;
-* :mod:`~repro.apps.stencil.context` — per-run state: block data, work
-  models, metrics, residual history;
-* :mod:`~repro.apps.stencil.charm_app` / :mod:`~repro.apps.stencil.mpi_app`
-  / :mod:`~repro.apps.stencil.ampi_app` / :mod:`~repro.apps.stencil.
-  rank_program` — the three runtime frontends (paper Figs. 1, 3, 5), all
+  :class:`StencilResult`, the stencil axes on top of
+  :class:`~repro.apps.appbase.BaseAppConfig`;
+* :mod:`~repro.apps.stencil.context` — per-run state: block data and work
+  models;
+* :mod:`~repro.apps.stencil.charm_app` / :mod:`~repro.apps.stencil.
+  rank_program` — the Charm++ chare (paper Figs. 3, 5) and the MPI rank
+  program (Fig. 1) the driver hosts under MPI and AMPI, all
   dimension-agnostic;
 * :mod:`~repro.apps.stencil.phases` — the declared phase vocabulary and
   trace classifier the observability layer consumes.
@@ -22,30 +22,18 @@ boundary condition, and register an :class:`~repro.apps.registry.AppSpec` —
 see ``docs/apps.md``.
 """
 
-from .ampi_app import make_ampi_rank_class
 from .charm_app import make_block_class
-from .config import ALL_VERSIONS, VERSIONS, StencilConfig, StencilResult
-from .context import (
-    BlockData,
-    MetricsCollector,
-    ResidualHistory,
-    StencilContext,
-    default_boundary,
-)
+from .config import StencilConfig, StencilResult
+from .context import BlockData, StencilContext, default_boundary
 from .geometry import BlockGeometry, factor_triples, factor_tuples, partition_dims
-from .mpi_app import make_rank_class
 from .phases import STENCIL_PHASES, STENCIL_PHASE_KERNELS, classify_stencil_op
 from .rank_program import make_rank_program
 
 __all__ = [
-    "ALL_VERSIONS",
-    "VERSIONS",
     "StencilConfig",
     "StencilResult",
     "StencilContext",
     "BlockData",
-    "MetricsCollector",
-    "ResidualHistory",
     "default_boundary",
     "BlockGeometry",
     "factor_triples",
@@ -55,7 +43,5 @@ __all__ = [
     "STENCIL_PHASE_KERNELS",
     "classify_stencil_op",
     "make_block_class",
-    "make_rank_class",
-    "make_ampi_rank_class",
     "make_rank_program",
 ]

@@ -1,13 +1,12 @@
 """Configuration and result types shared by every stencil application.
 
-:class:`StencilConfig` is the dataclass base every registered app's config
-subclasses: the app sets its :attr:`~StencilConfig.APP` name and
-:attr:`~StencilConfig.NDIM` (plus its default grid) and inherits the full
-version/fusion/graphs/data-mode surface.  ``to_dict`` carries the ``app``
-name, so the content-addressed result cache (:mod:`repro.exec.cache`) can
-never alias two apps' runs, and the registry
-(:mod:`repro.apps.registry`) can dispatch a plain dict back to the right
-config class.
+:class:`StencilConfig` is the :class:`~repro.apps.appbase.BaseAppConfig`
+subclass every stencil app's config derives from: the app sets its
+:attr:`~repro.apps.appbase.BaseAppConfig.APP` name and
+:attr:`~StencilConfig.NDIM` (plus its default grid) and inherits the
+grid/fusion/graphs/legacy-sync surface defined here.  Serialization,
+the derived predicates and the version/nodes/odf/data-mode checks come
+from the base.
 
 :class:`StencilResult` is shared by all stencil apps — the measured
 quantities are app-agnostic, and ``config`` pins the producing app.
@@ -16,25 +15,15 @@ quantities are app-agnostic, and ``config`` pins the producing app.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, ClassVar
 
 import numpy as np
 
-from ...hardware.specs import MachineSpec
 from ...kernels.fusion import FusionStrategy
-from ..appbase import AppResult
+from ..appbase import AppResult, BaseAppConfig
 
-__all__ = ["StencilConfig", "StencilResult", "VERSIONS", "ALL_VERSIONS"]
-
-#: The paper's four versions (§IV-A): MPI/Charm++ × host-staging/GPU-aware.
-VERSIONS = ("mpi-h", "mpi-d", "charm-h", "charm-d")
-
-#: All runnable frontends: the paper's four plus AMPI (virtualized MPI ranks
-#: hosted on the Charm++ runtime; ``odf`` is the virtualization ratio).
-#: The AMPI versions exist for the cross-backend differential validation
-#: harness and the AMPI extension experiments, not for the paper's figures.
-ALL_VERSIONS = VERSIONS + ("ampi-h", "ampi-d")
+__all__ = ["StencilConfig", "StencilResult"]
 
 # Functional mode actually allocates and computes every block; keep it for
 # test-scale grids unless explicitly overridden.
@@ -42,26 +31,18 @@ _FUNCTIONAL_CELL_LIMIT = 4_000_000
 
 
 @dataclass(frozen=True)
-class StencilConfig:
+class StencilConfig(BaseAppConfig):
     """One stencil-app run.
 
     Subclasses declare the app identity (:attr:`APP`), dimensionality
     (:attr:`NDIM`) and the default ``grid``; everything else is shared.
+    ``version``, ``nodes``, ``odf``, ``data_mode`` and ``machine`` are the
+    :class:`~repro.apps.appbase.BaseAppConfig` fields.
 
     Parameters
     ----------
-    version:
-        ``"mpi-h"`` | ``"mpi-d"`` | ``"charm-h"`` | ``"charm-d"`` —
-        plus ``"ampi-h"`` | ``"ampi-d"`` (virtualized MPI ranks on the
-        Charm++ runtime; used by the differential validation harness).
-    nodes:
-        Node count (6 GPUs/PEs per node on Summit).
     grid:
         Global grid dimensions (cells), one entry per :attr:`NDIM` axis.
-    odf:
-        Overdecomposition factor — chares per PE (Charm++ versions) or
-        virtual ranks per PE (AMPI versions); plain MPI is always one
-        rank per GPU.
     iterations / warmup:
         Measured iterations and untimed warmup iterations (the paper uses
         100 + 10; the model reaches steady state after one iteration).
@@ -78,30 +59,20 @@ class StencilConfig:
     mpi_overlap:
         Manual interior/exterior overlap in the MPI versions (paper Fig. 1's
         ``overlap`` branch; an extension experiment).
-    data_mode:
-        ``"modeled"`` (sizes only — any scale) or ``"functional"`` (real
-        NumPy blocks — validates numerics, test-scale grids only).
-    machine:
-        Hardware model; defaults to Summit.
+    allow_large_functional:
+        Lift the functional-mode cell limit.
     """
 
-    #: Registry name of the app this config class belongs to.
-    APP: ClassVar[str] = ""
     #: Dimensionality of the app's grid.
     NDIM: ClassVar[int] = 0
 
-    version: str = "charm-d"
-    nodes: int = 1
     grid: tuple = ()
-    odf: int = 1
     iterations: int = 10
     warmup: int = 1
     fusion: Any = FusionStrategy.NONE
     cuda_graphs: bool = False
     legacy_sync: bool = False
     mpi_overlap: bool = False
-    data_mode: str = "modeled"
-    machine: MachineSpec = field(default_factory=MachineSpec.summit)
     allow_large_functional: bool = False
 
     def __post_init__(self):
@@ -110,17 +81,11 @@ class StencilConfig:
                 "StencilConfig is abstract: subclasses must set APP and NDIM "
                 "(use a registered app's config class)"
             )
-        if self.version not in ALL_VERSIONS:
-            raise ValueError(f"unknown version {self.version!r}; expected one of {ALL_VERSIONS}")
+        self._validate_common()
+        object.__setattr__(self, "grid", tuple(self.grid))
         object.__setattr__(self, "fusion", FusionStrategy.parse(self.fusion))
-        if self.nodes < 1:
-            raise ValueError("nodes must be >= 1")
         if len(self.grid) != type(self).NDIM or any(g < 1 for g in self.grid):
             raise ValueError(f"bad grid {self.grid}")
-        if self.odf < 1:
-            raise ValueError("odf must be >= 1")
-        if self.is_mpi and self.odf != 1:
-            raise ValueError("MPI versions run one rank per GPU (odf must be 1)")
         if self.iterations < 1 or self.warmup < 0:
             raise ValueError("need iterations >= 1 and warmup >= 0")
         if self.fusion is not FusionStrategy.NONE and self.version != "charm-d":
@@ -129,8 +94,6 @@ class StencilConfig:
             raise ValueError("CUDA Graphs are evaluated only with charm-d (paper §III-D)")
         if self.mpi_overlap and not self.is_mpi:
             raise ValueError("mpi_overlap applies to MPI versions")
-        if self.data_mode not in ("modeled", "functional"):
-            raise ValueError(f"bad data_mode {self.data_mode!r}")
         if self.data_mode == "functional" and not self.allow_large_functional:
             cells = math.prod(self.grid)
             if cells > _FUNCTIONAL_CELL_LIMIT:
@@ -139,96 +102,9 @@ class StencilConfig:
                     "use modeled mode or set allow_large_functional=True"
                 )
 
-    # -- derived ---------------------------------------------------------------
-    @property
-    def app(self) -> str:
-        """Registry name of this config's app."""
-        return type(self).APP
-
     @property
     def ndim(self) -> int:
         return type(self).NDIM
-
-    @property
-    def is_mpi(self) -> bool:
-        return self.version.startswith("mpi")
-
-    @property
-    def is_charm(self) -> bool:
-        return self.version.startswith("charm")
-
-    @property
-    def is_ampi(self) -> bool:
-        return self.version.startswith("ampi")
-
-    @property
-    def gpu_aware(self) -> bool:
-        """Device-resident halos (CUDA-aware MPI / Channel API)."""
-        return self.version.endswith("-d")
-
-    @property
-    def functional(self) -> bool:
-        return self.data_mode == "functional"
-
-    @property
-    def total_iterations(self) -> int:
-        return self.warmup + self.iterations
-
-    def n_pes(self) -> int:
-        return self.nodes * self.machine.node.pes_per_node
-
-    def n_blocks(self) -> int:
-        return self.n_pes() * (1 if self.is_mpi else self.odf)
-
-    def with_(self, **kwargs) -> "StencilConfig":
-        """A modified copy (sweep helper)."""
-        return replace(self, **kwargs)
-
-    # -- serialization ---------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-data form, stable across processes: only numbers, strings,
-        bools and lists.  The dict fully determines the run (the simulator is
-        deterministic), so it doubles as the content-addressed cache identity
-        (:mod:`repro.exec.cache`) and the worker-dispatch payload
-        (:mod:`repro.exec.runner`).  The ``app`` name is part of the dict,
-        so two apps with coincidentally equal parameters never share a cache
-        key."""
-        return {
-            "app": type(self).APP,
-            "version": self.version,
-            "nodes": self.nodes,
-            "grid": list(self.grid),
-            "odf": self.odf,
-            "iterations": self.iterations,
-            "warmup": self.warmup,
-            "fusion": self.fusion.value,
-            "cuda_graphs": self.cuda_graphs,
-            "legacy_sync": self.legacy_sync,
-            "mpi_overlap": self.mpi_overlap,
-            "data_mode": self.data_mode,
-            "machine": self.machine.to_dict(),
-            "allow_large_functional": self.allow_large_functional,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StencilConfig":
-        """Inverse of :meth:`to_dict` (revalidates via ``__post_init__``).
-
-        ``app`` (when present) must name *this* class's app — use
-        :func:`repro.apps.registry.config_from_dict` to dispatch a dict of
-        unknown provenance.  Dicts written before the app field existed are
-        accepted as this app's.
-        """
-        d = dict(d)
-        app = d.pop("app", cls.APP)
-        if app != cls.APP:
-            raise ValueError(
-                f"config dict is for app {app!r}, not {cls.APP!r} "
-                "(use repro.apps.registry.config_from_dict)"
-            )
-        d["grid"] = tuple(d["grid"])
-        d["machine"] = MachineSpec.from_dict(d["machine"])
-        return cls(**d)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Shared per-run state: geometry, per-block data, timing collection.
+"""Shared per-run state: geometry and per-block data.
 
 Everything here is generic over the app's dimensionality: block indices and
 faces come from :class:`~repro.apps.stencil.geometry.BlockGeometry`, and
@@ -10,8 +10,7 @@ by dimensionality to the canonical hot-face problems.
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,115 +32,16 @@ from ...kernels import (
     interior_work,
     exterior_work,
 )
+from ..appbase import MetricsCollector, ResidualHistory
 from .config import StencilConfig
 from .geometry import BlockGeometry
 
-__all__ = ["StencilContext", "BlockData", "MetricsCollector", "ResidualHistory",
-           "default_boundary"]
+__all__ = ["StencilContext", "BlockData", "default_boundary"]
 
 
 def default_boundary(ndim: int) -> Callable[..., float]:
     """The canonical hot-face test problem for ``ndim`` dimensions."""
     return hot_top_boundary if ndim == 3 else hot_edge_boundary
-
-
-class ResidualHistory:
-    """Per-iteration residual of the Jacobi sweep (functional mode).
-
-    Each block records the max-norm delta ``max |out - u|`` over its own
-    interior cells for every iteration; :meth:`history` combines blocks by
-    ``max``.  Because every global interior cell belongs to exactly one
-    block and ``max`` is an exact selection (no rounding), the combined
-    history is **bitwise identical** across decompositions, schedules and
-    runtimes — which is exactly what the differential validation harness
-    (:mod:`repro.validate.differential`) asserts.
-    """
-
-    def __init__(self, n_blocks: int, total_iterations: int):
-        self.n_blocks = n_blocks
-        self.total_iterations = total_iterations
-        self._deltas: dict[int, dict] = {}  # iteration -> {block index: delta}
-
-    def record(self, block_index, iteration: int, delta: float) -> None:
-        per_block = self._deltas.setdefault(iteration, {})
-        key = tuple(block_index)
-        if key in per_block:
-            raise RuntimeError(f"block {key} recorded iteration {iteration} twice")
-        per_block[key] = delta
-
-    def history(self) -> list[float]:
-        """Combined per-iteration residuals; raises if any block is missing."""
-        out = []
-        for it in range(self.total_iterations):
-            per_block = self._deltas.get(it, {})
-            if len(per_block) != self.n_blocks:
-                raise RuntimeError(
-                    f"iteration {it}: only {len(per_block)}/{self.n_blocks} "
-                    "blocks recorded a residual"
-                )
-            out.append(max(per_block.values()))
-        return out
-
-
-class MetricsCollector:
-    """Gathers per-unit iteration completion times.
-
-    ``warmup_boundary`` is the latest time at which any unit finished the
-    last warmup iteration: the measured window is ``[boundary, end]``.
-    """
-
-    #: Steady-state tail: the per-unit period is taken over (up to) this many
-    #: final iterations, so startup transients and cross-unit skew cancel.
-    TAIL = 6
-
-    def __init__(self, n_units: int, warmup: int):
-        self.n_units = n_units
-        self.warmup = warmup
-        self.warmup_boundary = 0.0
-        self.last_iteration: dict[Any, int] = {}
-        self._tail_times: dict[Any, deque] = {}
-
-    def on_event(self, name: str, unit, **data) -> None:
-        if name != "iter_done":
-            return
-        it = data["iter"]
-        now = data["now"]
-        key = getattr(unit, "index", None) or getattr(unit, "rank", None)
-        self.last_iteration[key] = it
-        if it >= self.warmup:  # warmup iterations never enter the estimate
-            tail = self._tail_times.get(key)
-            if tail is None:
-                tail = self._tail_times[key] = deque(maxlen=self.TAIL + 1)
-            tail.append(now)
-        if self.warmup > 0 and it == self.warmup - 1 and now > self.warmup_boundary:
-            self.warmup_boundary = now
-
-    def time_per_iteration(self, measured_iterations: int) -> float:
-        """Steady-state iteration period.
-
-        Each unit's period is measured over its own last ``TAIL``
-        iterations (self-referencing timestamps, so cross-unit skew does not
-        bias the estimate and startup transients are excluded).
-        """
-        periods = []
-        for times in self._tail_times.values():
-            if len(times) >= 2:
-                periods.append((times[-1] - times[0]) / (len(times) - 1))
-        if not periods:
-            raise RuntimeError("need at least 2 iterations to estimate a period")
-        # Mean over units: halo coupling locks every unit to the same
-        # long-run rate, and the mean damps per-unit pipeline oscillation
-        # that a max would amplify.
-        return sum(periods) / len(periods)
-
-    def check_complete(self, total_iterations: int) -> None:
-        if len(self.last_iteration) != self.n_units:
-            raise RuntimeError(
-                f"only {len(self.last_iteration)}/{self.n_units} units reported progress"
-            )
-        lagging = {k: v for k, v in self.last_iteration.items() if v != total_iterations - 1}
-        if lagging:
-            raise RuntimeError(f"units stopped early: {lagging}")
 
 
 class BlockData:

@@ -2,14 +2,9 @@
 
 Both the plain-MPI and the AMPI frontends run the *same* ``main`` loop —
 that is AMPI's selling point and exactly what the differential validation
-harness leans on.  This module factors the program into a mixin so the two
-frontends differ only in *when* device setup runs:
-
-* plain MPI (:mod:`.mpi_app`) binds ``pe``/``gpu`` at construction, so
-  :meth:`RankProgram._setup_device` runs in ``init`` (preserving the
-  historical event ordering, and with it every cached result);
-* AMPI (:mod:`.ampi_app`) binds ``pe``/``gpu`` only when the hosting chare
-  attaches, so setup runs at the top of ``main``.
+harness leans on.  The program is a mixin; the generic driver
+(:func:`repro.apps.driver.run_app`) hosts it in an ``MpiProcess`` or an
+``AmpiProcess`` class, which differ only in *when* device setup runs.
 
 Rank-to-block assignment is the row-major inverse of
 :func:`~repro.runtime.mapping.linearize`, for any dimensionality.
@@ -30,7 +25,7 @@ def make_rank_program(ctx: StencilContext):
     """A mixin class implementing Fig. 1 against this run's context.
 
     Host classes (``MpiProcess``/``AmpiProcess`` subclasses) must call
-    ``_bind_block`` before communication and ``_setup_device`` before the
+    ``_bind_unit`` before communication and ``_setup_device`` before the
     first kernel launch, then drive :meth:`RankProgram._main_body`.
     """
 
@@ -39,7 +34,7 @@ def make_rank_program(ctx: StencilContext):
     class RankProgram:
         app = ctx
 
-        def _bind_block(self):
+        def _bind_unit(self):
             self.index = delinearize(self.rank, shape)
             self.data = ctx.block_data(self.index)
             self.update_done = None

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from ..apps import StencilConfig, result_from_dict, spec_for
+from ..apps import BaseAppConfig, result_from_dict, spec_for
 
 __all__ = ["MODEL_VERSION", "CacheStats", "ResultCache", "config_key", "default_cache_dir"]
 
@@ -47,7 +47,7 @@ __all__ = ["MODEL_VERSION", "CacheStats", "ResultCache", "config_key", "default_
 MODEL_VERSION = 1
 
 
-def config_key(config: StencilConfig) -> str:
+def config_key(config: BaseAppConfig) -> str:
     """The content-addressed cache key for ``config``."""
     payload = {"model_version": MODEL_VERSION, "config": config.to_dict()}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -78,12 +78,12 @@ class ResultCache:
         self.root = Path(root)
         self.stats = CacheStats()
 
-    def path_for(self, config: StencilConfig) -> Path:
+    def path_for(self, config: BaseAppConfig) -> Path:
         key = config_key(config)
         return self.root / key[:2] / f"{key}.json"
 
     # -- lookup ------------------------------------------------------------
-    def get(self, config: StencilConfig):
+    def get(self, config: BaseAppConfig):
         """The cached result for ``config``, or ``None`` on miss.  Any entry
         that fails to parse/validate counts as corrupt, is deleted, and
         reads as a miss (the caller recomputes and overwrites)."""
@@ -114,7 +114,7 @@ class ResultCache:
         return result
 
     # -- store -------------------------------------------------------------
-    def put(self, config: StencilConfig, result) -> bool:
+    def put(self, config: BaseAppConfig, result) -> bool:
         """Persist ``result``; returns False for uncacheable payloads
         (functional mode, or values from custom workers that are not the
         app's registered result class)."""

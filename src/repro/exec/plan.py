@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from ..analysis import FigureData
-from ..apps import StencilConfig
+from ..apps import BaseAppConfig
 
 __all__ = ["ExperimentPoint", "ExperimentPlan"]
 
@@ -36,7 +36,7 @@ class ExperimentPoint:
         (e.g. ``(("util", "gpu_utilization"),)``).
     """
 
-    config: StencilConfig
+    config: BaseAppConfig
     series: str = ""
     x: float = 0.0
     meta_fields: tuple = ()
@@ -54,7 +54,7 @@ class ExperimentPlan:
 
     def add(
         self,
-        config: StencilConfig,
+        config: BaseAppConfig,
         series: str = "",
         x: float = 0.0,
         meta_fields: Sequence[tuple] = (),
@@ -72,7 +72,7 @@ class ExperimentPlan:
     def __iter__(self) -> Iterator[ExperimentPoint]:
         return iter(self.points)
 
-    def configs(self) -> list[StencilConfig]:
+    def configs(self) -> list[BaseAppConfig]:
         return [p.config for p in self.points]
 
     def figure(self, results: Sequence, metric: str = "time_per_iteration") -> FigureData:

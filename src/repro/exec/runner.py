@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from ..apps import StencilConfig, config_from_dict, run_app
+from ..apps import BaseAppConfig, config_from_dict, run_app
 from .cache import ResultCache, config_key
 from .plan import ExperimentPlan, ExperimentPoint
 
@@ -213,7 +213,7 @@ class ParallelRunner:
         """All of ``plan``'s results, in plan order."""
         return self.run_points(plan.points, on_point=on_point)
 
-    def run_configs(self, configs: Sequence[StencilConfig],
+    def run_configs(self, configs: Sequence[BaseAppConfig],
                     on_point: Optional[ProgressFn] = None) -> list:
         """Plan-less convenience: results for bare configs, in order."""
         return self.run_points([ExperimentPoint(c) for c in configs], on_point=on_point)

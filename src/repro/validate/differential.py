@@ -6,8 +6,8 @@ block per rank), scheduling (suspending chares vs. spinning CPUs),
 communication protocol (host staging vs. GPUDirect vs. device IPC), kernel
 organisation (fusion strategies A/B/C, CUDA graphs) — yet they integrate
 the *same* PDE.  Because the functional kernels use a fixed operand order
-and the residual combiner is an exact ``max`` (:class:`~repro.apps.stencil.
-context.ResidualHistory`), every path must produce **bitwise identical**
+and the residual combiner is an exact ``max`` (:class:`~repro.apps.appbase.
+ResidualHistory`), every path must produce **bitwise identical**
 residual histories and final grids.  Any drift — a halo applied twice, an
 iteration skipped, a mis-tagged message — shows up as a first differing
 iteration.
@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..apps import StencilConfig, get_app, run_app
+from ..apps import BaseAppConfig, StencilConfig, get_app, run_app
 
 __all__ = [
     "CaseDiff",
@@ -68,7 +68,7 @@ class CaseDiff:
     """One matrix case compared against the reference run."""
 
     label: str
-    config: StencilConfig
+    config: BaseAppConfig
     ok: bool
     iterations: int
     first_diff_iteration: Optional[int] = None
@@ -103,7 +103,7 @@ class DifferentialReport:
         return f"{head}\n{lines}"
 
 
-def default_base(app: str = "jacobi3d") -> StencilConfig:
+def default_base(app: str = "jacobi3d") -> BaseAppConfig:
     """The registered app's functional-mode base problem: small enough to
     run the full matrix in seconds, large enough that every block has
     interior cells and real halo traffic on every face."""
@@ -139,8 +139,8 @@ def default_matrix(base: StencilConfig,
 
 
 def run_differential_matrix(
-    base: Optional[StencilConfig] = None,
-    cases: Optional[list[tuple[str, StencilConfig]]] = None,
+    base: Optional[BaseAppConfig] = None,
+    cases: Optional[list[tuple[str, BaseAppConfig]]] = None,
     quick: bool = False,
     validate: bool = True,
     progress=None,

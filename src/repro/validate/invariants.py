@@ -72,7 +72,7 @@ class InvariantError(SimulationError):
 class InvariantChecker:
     """Attachable auditor for one simulation run.
 
-    Typical wiring (what ``run_jacobi3d(..., validate=True)`` does)::
+    Typical wiring (what ``run_app(..., validate=True)`` does)::
 
         checker = InvariantChecker().attach(engine)
         checker.watch_cluster(cluster)

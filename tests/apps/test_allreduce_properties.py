@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.apps import run_app
 from repro.apps.allreduce import AllreduceConfig
 from repro.apps.allreduce.context import AllreduceContext, reference_allreduce
-from repro.apps.stencil import ALL_VERSIONS
+from repro.apps import ALL_VERSIONS
 from repro.hardware import MachineSpec
 
 MACHINE = MachineSpec.small_debug()

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.apps import run_app
 from repro.apps.cholesky import CholeskyConfig
 from repro.apps.cholesky.context import CholeskyContext
-from repro.apps.stencil import ALL_VERSIONS
+from repro.apps import ALL_VERSIONS
 from repro.hardware import MachineSpec
 from repro.sim import Tracer
 

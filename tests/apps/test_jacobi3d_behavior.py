@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import Jacobi3DConfig, run_jacobi3d
+from repro.apps import Jacobi3DConfig, run_app
 from repro.comm import Protocol
 from repro.hardware import MachineSpec
 
@@ -11,7 +11,7 @@ def run(**kw):
     kw.setdefault("nodes", 2)
     kw.setdefault("iterations", 6)
     kw.setdefault("warmup", 1)
-    return run_jacobi3d(Jacobi3DConfig(**kw))
+    return run_app(Jacobi3DConfig(**kw))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ halo bytes reach the right ghost cells at the right iterations.
 import numpy as np
 import pytest
 
-from repro.apps import AppContext, Jacobi3DConfig, run_jacobi3d
+from repro.apps import Jacobi3DConfig, StencilContext, run_app
 from repro.hardware import MachineSpec
 from repro.kernels import reference_solve, residual, max_principle_holds
 
@@ -31,8 +31,8 @@ def run_case(**kw):
     kw.setdefault("data_mode", "functional")
     kw.setdefault("machine", MACHINE)
     cfg = Jacobi3DConfig(**kw)
-    res = run_jacobi3d(cfg)
-    return res, res.assemble_grid(AppContext(cfg).geometry)
+    res = run_app(cfg)
+    return res, res.assemble_grid(StencilContext(cfg).geometry)
 
 
 @pytest.mark.parametrize("version", ["mpi-h", "mpi-d", "charm-h", "charm-d"])
@@ -115,7 +115,7 @@ def test_blocks_field_has_every_block():
 def test_assemble_grid_requires_functional():
     cfg = Jacobi3DConfig(version="charm-h", nodes=1, grid=GRID, iterations=2,
                          machine=MACHINE)
-    res = run_jacobi3d(cfg)
+    res = run_app(cfg)
     assert res.blocks is None
     with pytest.raises(ValueError):
-        res.assemble_grid(AppContext(cfg).geometry)
+        res.assemble_grid(StencilContext(cfg).geometry)

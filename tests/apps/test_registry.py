@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import (
+    ALL_VERSIONS,
+    BaseAppConfig,
     Jacobi2DConfig,
     Jacobi3DConfig,
     StencilResult,
@@ -22,7 +24,6 @@ from repro.apps import (
 )
 from repro.apps.jacobi3d import SPEC as JACOBI3D_SPEC
 from repro.apps.registry import register
-from repro.apps.stencil import ALL_VERSIONS
 from repro.exec import config_key
 from repro.hardware import MachineSpec
 
@@ -113,6 +114,7 @@ def test_spec_name_must_match_config_class():
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_property_config_roundtrip_per_app(app, data):
+    assert issubclass(get_app(app).config_cls, BaseAppConfig)
     config = data.draw(_configs(APP_CLASSES[app]))
     d = config.to_dict()
     assert d["app"] == app

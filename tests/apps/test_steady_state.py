@@ -4,7 +4,7 @@ counts in the figure generators vs the paper's 100)."""
 
 import pytest
 
-from repro.apps import Jacobi3DConfig, run_jacobi3d
+from repro.apps import Jacobi3DConfig, run_app
 
 
 @pytest.mark.parametrize("version,odf", [("mpi-h", 1), ("charm-h", 2), ("charm-d", 2)])
@@ -12,7 +12,7 @@ def test_time_per_iteration_stable_in_iteration_count(version, odf):
     def per_iter(iters):
         cfg = Jacobi3DConfig(version=version, nodes=2, grid=(768, 768, 1536),
                              odf=odf, iterations=iters, warmup=1)
-        return run_jacobi3d(cfg).time_per_iteration
+        return run_app(cfg).time_per_iteration
 
     short = per_iter(3)
     long = per_iter(8)
@@ -23,6 +23,6 @@ def test_warmup_count_does_not_change_steady_period():
     def per_iter(warmup):
         cfg = Jacobi3DConfig(version="charm-d", nodes=2, grid=(768, 768, 1536),
                              odf=2, iterations=4, warmup=warmup)
-        return run_jacobi3d(cfg).time_per_iteration
+        return run_app(cfg).time_per_iteration
 
     assert per_iter(1) == pytest.approx(per_iter(3), rel=0.05)

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import Jacobi3DConfig, run_jacobi3d
-from repro.apps.jacobi3d import ALL_VERSIONS
+from repro.apps import ALL_VERSIONS, Jacobi3DConfig, run_app
 from repro.exec import ResultCache, config_key
 from repro.exec import cache as cache_mod
 from repro.hardware import MachineSpec
@@ -85,7 +84,7 @@ def test_seeded_permutation_sweep_hits_same_entry(seed, tmp_path):
     rng = random.Random(seed)
     cache = ResultCache(tmp_path)
     cfg = _cfg(odf=rng.choice([1, 2, 4]), iterations=rng.randint(2, 4))
-    cache.put(cfg, run_jacobi3d(cfg))
+    cache.put(cfg, run_app(cfg))
     reordered = Jacobi3DConfig.from_dict(_shuffled(cfg.to_dict(), rng))
     assert cache.get(reordered) is not None
     assert cache.stats.hits == 1
@@ -115,7 +114,7 @@ def test_model_version_bump_misses_then_restore_hits(tmp_path, monkeypatch, bump
     stay on disk untouched; restoring the stamp restores the hit."""
     cache = ResultCache(tmp_path)
     cfg = _cfg()
-    cache.put(cfg, run_jacobi3d(cfg))
+    cache.put(cfg, run_app(cfg))
     assert cache.get(cfg) is not None and cache.stats.hits == 1
 
     monkeypatch.setattr(cache_mod, "MODEL_VERSION", cache_mod.MODEL_VERSION + bump)
@@ -133,7 +132,7 @@ def test_model_version_recompute_coexists_with_old_entry(tmp_path, monkeypatch):
     both versions coexist (clean invalidation, no clobbering)."""
     cache = ResultCache(tmp_path)
     cfg = _cfg()
-    result = run_jacobi3d(cfg)
+    result = run_app(cfg)
     cache.put(cfg, result)
     monkeypatch.setattr(cache_mod, "MODEL_VERSION", cache_mod.MODEL_VERSION + 1)
     assert cache.put(cfg, result)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.apps import Jacobi3DConfig, Jacobi3DResult, run_jacobi3d
+from repro.apps import Jacobi3DConfig, StencilResult, run_app
 from repro.exec import ExperimentPlan, ExperimentPoint
 from repro.hardware import MachineSpec
 
@@ -44,13 +44,13 @@ def test_machine_spec_round_trip_covers_ablations():
 
 
 def test_result_round_trip_is_exact():
-    result = run_jacobi3d(_small_config())
-    restored = Jacobi3DResult.from_dict(result.to_dict())
+    result = run_app(_small_config())
+    restored = StencilResult.from_dict(result.to_dict())
     assert restored == result  # bit-exact floats, enum keys, config
 
 
 def test_functional_result_refuses_serialization():
-    result = run_jacobi3d(_small_config(grid=(24, 24, 24), data_mode="functional",
+    result = run_app(_small_config(grid=(24, 24, 24), data_mode="functional",
                                         machine=MachineSpec.small_debug()))
     assert result.blocks is not None
     with pytest.raises(ValueError, match="functional"):
@@ -76,7 +76,7 @@ def test_plan_generic_assembly_orders_series_by_first_encounter():
     plan.add(cfg, "legacy", 1, meta_fields=(("util", "gpu_utilization"),))
     plan.add(cfg, "optimized", 1)
     plan.add(cfg, "legacy", 2, meta_fields=(("util", "gpu_utilization"),))
-    res = run_jacobi3d(cfg)
+    res = run_app(cfg)
     fig = plan.figure([res, res, res])
     assert list(fig.series) == ["legacy", "optimized"]
     assert fig.series["legacy"].points == [(1.0, res.time_per_iteration),

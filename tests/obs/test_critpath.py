@@ -3,7 +3,7 @@ acceptance check that the reported path length equals the simulated makespan."""
 
 import pytest
 
-from repro.apps import Jacobi3DConfig, run_jacobi3d
+from repro.apps import Jacobi3DConfig, run_app
 from repro.obs import Observatory, collect_segments, critical_path
 
 
@@ -102,7 +102,7 @@ def test_critical_path_length_equals_makespan(version, legacy):
     config = Jacobi3DConfig(version=version, nodes=2, grid=(96, 96, 96),
                             odf=4, iterations=6, warmup=2, legacy_sync=legacy)
     obs = Observatory()
-    run_jacobi3d(config, observatory=obs)
+    run_app(config, observatory=obs)
     makespan = obs.engine.now
     path = critical_path(collect_segments(obs.cluster, obs.tracer),
                          t_start=0.0, t_end=makespan)
@@ -117,7 +117,7 @@ def test_collect_segments_uses_trace_phases_when_available():
     config = Jacobi3DConfig(version="charm-d", nodes=1, grid=(96, 96, 96),
                             odf=2, iterations=4, warmup=1)
     obs = Observatory()
-    run_jacobi3d(config, observatory=obs)
+    run_app(config, observatory=obs)
     cats = {cat for _, _, cat in collect_segments(obs.cluster, obs.tracer)}
     assert "pe" in cats and "nic" in cats
     # GPU work is phase-classified, not engine-named, when traced.
@@ -129,6 +129,6 @@ def test_collect_segments_falls_back_to_engine_trackers():
     config = Jacobi3DConfig(version="charm-d", nodes=1, grid=(96, 96, 96),
                             odf=2, iterations=4, warmup=1)
     obs = Observatory()
-    run_jacobi3d(config, observatory=obs)
+    run_app(config, observatory=obs)
     cats = {cat for _, _, cat in collect_segments(obs.cluster, tracer=None)}
     assert any(c.startswith("gpu.") for c in cats)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.apps import Jacobi3DConfig, run_jacobi3d
+from repro.apps import Jacobi3DConfig, run_app
 from repro.obs import (
     Observatory,
     PerfReport,
@@ -45,7 +45,7 @@ def test_report_answers_the_papers_questions(perf):
 def test_observatory_run_matches_plain_run(perf):
     # Observability must be a pure observer: results are bit-identical.
     result, _report = perf
-    plain = run_jacobi3d(CONFIG)
+    plain = run_app(CONFIG)
     assert plain.total_time == result.total_time
     assert plain.time_per_iteration == result.time_per_iteration
     assert plain.overlap_s == result.overlap_s
@@ -60,21 +60,21 @@ def test_observatory_report_before_run_raises():
 def test_driver_rejects_tracer_plus_observatory():
     from repro.sim import Tracer
     with pytest.raises(ValueError):
-        run_jacobi3d(CONFIG, tracer=Tracer(), observatory=Observatory())
+        run_app(CONFIG, tracer=Tracer(), observatory=Observatory())
 
 
 def test_overlap_odf4_exceeds_odf1():
     # Acceptance: overdecomposition buys overlap on the same config.
     base = CONFIG.to_dict()
     base["odf"] = 1
-    r1 = run_jacobi3d(Jacobi3DConfig.from_dict(base))
-    r4 = run_jacobi3d(CONFIG)
+    r1 = run_app(Jacobi3DConfig.from_dict(base))
+    r4 = run_app(CONFIG)
     assert r4.overlap_s > r1.overlap_s
 
 
 def test_chrome_trace_export(perf):
     obs = Observatory()
-    run_jacobi3d(CONFIG, observatory=obs)
+    run_app(CONFIG, observatory=obs)
     events = obs.chrome_trace()
     assert events and json.loads(json.dumps(events))
 

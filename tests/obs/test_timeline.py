@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.apps import Jacobi3DConfig, run_jacobi3d
+from repro.apps import Jacobi3DConfig, run_app
+from repro.apps.stencil import classify_stencil_op
 from repro.obs import (
-    classify_op,
     compute_comm_overlap,
     iteration_boundaries,
     per_iteration_phases,
@@ -38,7 +38,7 @@ from repro.sim import Engine, Tracer, merge_intervals, overlap_seconds
     ("sched.message", "x", "other"),
 ])
 def test_classify_op(category, op, phase):
-    assert classify_op(category, op) == phase
+    assert classify_stencil_op(category, op) == phase
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,7 @@ def test_per_iteration_phases_windows_partition_the_run():
     config = Jacobi3DConfig(version="charm-d", nodes=1, grid=(96, 96, 96),
                             odf=2, iterations=4, warmup=1)
     tracer = Tracer()
-    run_jacobi3d(config, tracer=tracer)
+    run_app(config, tracer=tracer)
     entries = per_iteration_phases(tracer)
     assert len(entries) == config.total_iterations
     assert entries[0]["t0"] == 0.0
@@ -147,7 +147,7 @@ def test_resource_usage_covers_every_resource():
     config = Jacobi3DConfig(version="charm-d", nodes=2, grid=(96, 96, 96),
                             odf=2, iterations=4, warmup=1)
     obs = Observatory()
-    run_jacobi3d(config, observatory=obs)
+    run_app(config, observatory=obs)
     usage = resource_usage(obs.cluster)
     kinds = {u.kind for u in usage}
     assert {"pe", "net", "gpu.compute", "gpu.copy_d2h", "gpu.copy_h2d"} <= kinds
@@ -165,7 +165,7 @@ def test_compute_comm_overlap_matches_manual_computation():
     from repro.hardware import COMPUTE
     from repro.obs import Observatory
     obs = Observatory()
-    result = run_jacobi3d(config, observatory=obs)
+    result = run_app(config, observatory=obs)
     cluster = obs.cluster
     spans = []
     for node in cluster.nodes:

@@ -147,7 +147,7 @@ def test_single_node_checkpoint_has_no_network_cost():
 
 
 def test_jacobi3d_restart_is_bit_exact():
-    from repro.apps import AppContext, Jacobi3DConfig, run_jacobi3d
+    from repro.apps import Jacobi3DConfig, StencilContext, run_app
     from repro.kernels import reference_solve
 
     grid = (20, 20, 20)
@@ -157,14 +157,14 @@ def test_jacobi3d_restart_is_bit_exact():
     cfg1 = Jacobi3DConfig(version="charm-d", nodes=2, grid=grid, odf=2,
                           iterations=3, warmup=0, data_mode="functional",
                           machine=MachineSpec.small_debug())
-    res1 = run_jacobi3d(cfg1)
+    res1 = run_app(cfg1)
 
     # "Failure": restart the SAME 8 blocks on 1 node (2 GPUs) at ODF 4.
     cfg2 = Jacobi3DConfig(version="charm-d", nodes=1, grid=grid, odf=4,
                           iterations=3, warmup=0, data_mode="functional",
                           machine=MachineSpec.small_debug())
     assert cfg1.n_blocks() == cfg2.n_blocks()
-    res2 = run_jacobi3d(cfg2, initial_state=res1.blocks)
+    res2 = run_app(cfg2, initial_state=res1.blocks)
 
-    final = res2.assemble_grid(AppContext(cfg2).geometry)
+    final = res2.assemble_grid(StencilContext(cfg2).geometry)
     assert np.array_equal(final, ref)

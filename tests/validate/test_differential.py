@@ -5,7 +5,7 @@ CUDA graphs."""
 import numpy as np
 import pytest
 
-from repro.apps import Jacobi3DConfig, run_jacobi3d
+from repro.apps import Jacobi3DConfig, run_app
 from repro.hardware import MachineSpec
 from repro.validate import (
     default_base,
@@ -30,7 +30,7 @@ FUSIONS = ["none", "A", "B", "C"]
 
 
 def _residuals(config):
-    return run_jacobi3d(config, validate=True).residuals
+    return run_app(config, validate=True).residuals
 
 
 @pytest.mark.parametrize("base_idx", range(len(BASES)))
@@ -135,7 +135,7 @@ def test_final_grids_match_serial_reference():
     from repro.kernels import alloc_block, apply_boundary, hot_top_boundary, jacobi_update
 
     base = BASES[1]  # warmup=0: total_iterations == iterations
-    result = run_jacobi3d(base, validate=True)
+    result = run_app(base, validate=True)
     geo = BlockGeometry.auto(base.n_blocks(), base.grid)
     grid = result.assemble_grid(geo)
 

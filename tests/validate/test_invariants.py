@@ -3,7 +3,7 @@ offending actor and simulated time."""
 
 import pytest
 
-from repro.apps import Jacobi3DConfig, run_jacobi3d
+from repro.apps import Jacobi3DConfig, run_app
 from repro.hardware import Cluster, MachineSpec
 from repro.sim import Engine, Resource, SimulationError
 from repro.validate import InvariantChecker, InvariantError
@@ -32,7 +32,7 @@ def _small(**kw):
 @pytest.mark.parametrize("version", ["charm-d", "charm-h", "ampi-d", "mpi-d", "mpi-h"])
 def test_clean_run_passes_all_invariants(version):
     odf = 1 if version.startswith("mpi") else 2
-    result = run_jacobi3d(_small(version=version, odf=odf), validate=True)
+    result = run_app(_small(version=version, odf=odf), validate=True)
     assert result.total_time > 0
 
 
