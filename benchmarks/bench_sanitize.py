@@ -1,7 +1,7 @@
 """Sanitizer overhead: bare vs. sanitized wall-clock for the same run.
 
-Not a paper figure: the sanitizer is host-side bookkeeping layered on
-monitor hooks, and this pins its cost so a clock-join or ledger change
+Not a paper figure: the sanitizer is host-side bookkeeping subscribed to
+the engine's observer bus, and this pins its cost so a clock-join or ledger change
 that regresses from O(accesses) shows up in ``results/bench_meta.json``
 next to the figure timings.  The run doubles as a self-host check — the
 sanitized case must come back clean, and (pure-observer contract) both

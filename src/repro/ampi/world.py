@@ -144,8 +144,9 @@ def _make_rank_chare(world: "AmpiWorld"):
                         priority=PRIORITY_COMM,
                         payload=cmd.payload,
                     )
-                    if engine.sanitizer is not None:
-                        engine.sanitizer.on_transfer_posted(handle, self)
+                    probe = engine.probe
+                    if probe is not None:
+                        probe.on_transfer_post(handle, self)
                     value = Request(handle, "send")
                 elif isinstance(cmd, _Irecv):
                     yield self.work(costs.call_overhead_s)
@@ -156,8 +157,9 @@ def _make_rank_chare(world: "AmpiWorld"):
                         tag=("ampi", cmd.source, proc.rank, cmd.tag),
                         on_device=cmd.device,
                     )
-                    if engine.sanitizer is not None:
-                        engine.sanitizer.on_transfer_posted(handle, self)
+                    probe = engine.probe
+                    if probe is not None:
+                        probe.on_transfer_post(handle, self)
                     value = Request(handle, "recv")
                 elif isinstance(cmd, _WaitAll):
                     yield self.work(costs.completion_s * max(1, len(cmd.requests)))
@@ -166,15 +168,16 @@ def _make_rank_chare(world: "AmpiWorld"):
                         # The AMPI difference: suspend, don't spin — the PE
                         # is free for other virtual ranks meanwhile.
                         yield self.wait_all(pending)
-                    if engine.sanitizer is not None:
+                    probe = engine.probe
+                    if probe is not None:
                         for r in cmd.requests:
-                            engine.sanitizer.on_wake(self, r.done)
+                            probe.on_wake(self, r.done)
                     value = [r.data for r in cmd.requests]
                 elif isinstance(cmd, Await):
                     if not cmd.event.processed:
                         yield self.wait(cmd.event)
-                    elif engine.sanitizer is not None:
-                        engine.sanitizer.on_wake(self, cmd.event)
+                    elif engine.probe is not None:
+                        engine.probe.on_wake(self, cmd.event)
                     value = cmd.event.value
                 else:
                     raise SimulationError(

@@ -1,8 +1,9 @@
 """The generic application driver: run any registered app end to end.
 
 :func:`run_app` owns everything that is *not* app-specific — engine,
-cluster, tracer/observatory attachment, invariant checking, metrics
-collection, and result assembly.  The app supplies only its config class,
+cluster, observer attachment (tracer/observatory, invariant checker,
+sanitizer — all subscribers of the engine's probe bus), metrics collection,
+and result assembly.  The app supplies only its config class,
 context factory, Charm++ chare class and MPI rank program, all looked up
 through its :class:`~repro.apps.registry.AppSpec`.  The rank program runs
 unchanged under plain MPI and AMPI; the two host classes below differ only
@@ -18,7 +19,7 @@ from ..hardware import COMPUTE, Cluster
 from ..mpi import MpiProcess, MpiWorld
 from ..obs.timeline import compute_comm_overlap
 from ..runtime import CharmRuntime
-from ..sim import Engine, Tracer, trace
+from ..sim import Engine, Tracer
 from ..validate.invariants import InvariantChecker
 from .registry import spec_for
 
@@ -78,8 +79,8 @@ def run_app(
 
     ``validate=True`` attaches an :class:`~repro.validate.InvariantChecker`
     for the whole run and raises :class:`~repro.validate.InvariantError`
-    if any simulation invariant is breached.  Monitors are pure observers:
-    the event schedule (and therefore every result) is unchanged.
+    if any simulation invariant is breached.  Observers are pure: the
+    event schedule (and therefore every result) is unchanged.
 
     ``sanitize`` attaches a happens-before concurrency
     :class:`~repro.sanitize.Sanitizer` (another pure observer — see
@@ -130,50 +131,39 @@ def run_app(
 
     def observer(name, unit, **data):
         metrics.on_event(name, unit, now=engine.now, **data)
-        if name == "iter_done" and engine.tracer is not None:
-            key = getattr(unit, "index", None) or getattr(unit, "rank", None)
-            trace(engine, "app.iter_done", str(key), iter=data["iter"])
+        if name == "iter_done":
+            probe = engine.probe
+            if probe is not None:
+                probe.on_iter_done(unit, data["iter"])
 
-    blocks = None
     if config.is_charm:
-        runtime = CharmRuntime(cluster)
-        runtime.observe(observer)
-        if checker is not None:
-            checker.watch_ucx(runtime.ucx)
-            checker.watch_runtime(runtime)
-        if sanitizer is not None:
-            sanitizer.watch_runtime(runtime)
+        frontend = runtime = CharmRuntime(cluster)
+    elif config.is_ampi:
+        frontend = AmpiWorld(cluster, vranks=config.n_blocks())
+        runtime = frontend.runtime
+    else:
+        frontend, runtime = MpiWorld(cluster), None
+    frontend.observe(observer)
+    if config.is_charm:
         array = runtime.create_array(
             spec.make_block_class(ctx), shape=ctx.shape, mapping="block", name=spec.name
         )
         array.broadcast("run")
-        runtime.run()
-        ucx = runtime.ucx
-        if config.functional:
-            blocks = {idx: ch.data.f_interior() for idx, ch in array.elements.items()}
-    elif config.is_ampi:
-        world = AmpiWorld(cluster, vranks=config.n_blocks())
-        world.observe(observer)
-        if checker is not None:
-            checker.watch_ucx(world.runtime.ucx)
-            checker.watch_runtime(world.runtime)
-        if sanitizer is not None:
-            sanitizer.watch_runtime(world.runtime)
-        ranks = world.launch(_ampi_rank_class(spec.make_rank_program(ctx)))
-        world.run()
-        ucx = world.runtime.ucx
-        if config.functional:
-            blocks = {r.index: r.data.f_interior() for r in ranks}
+        units = array.elements.values()
     else:
-        world = MpiWorld(cluster)
-        world.observe(observer)
-        if checker is not None:
-            checker.watch_ucx(world.ucx)
-        ranks = world.launch(_mpi_rank_class(spec.make_rank_program(ctx)))
-        world.run()
-        ucx = world.ucx
-        if config.functional:
-            blocks = {r.index: r.data.f_interior() for r in ranks}
+        host = _ampi_rank_class if config.is_ampi else _mpi_rank_class
+        units = frontend.launch(host(spec.make_rank_program(ctx)))
+    ucx = frontend.ucx if runtime is None else runtime.ucx
+    if checker is not None:
+        checker.watch_ucx(ucx)
+        if runtime is not None:
+            checker.watch_runtime(runtime)
+    if sanitizer is not None and runtime is not None:
+        sanitizer.watch_runtime(runtime)
+    frontend.run()
+    blocks = None
+    if config.functional:
+        blocks = {unit.index: unit.data.f_interior() for unit in units}
 
     metrics.check_complete(config.total_iterations)
     if checker is not None:

@@ -44,7 +44,7 @@ from typing import Optional
 from ..hardware import Cluster, GpuDevice, Message
 from ..hardware.gpu import COPY_D2D, COPY_D2H, COPY_H2D, CopyWork
 from ..hardware.specs import UcxSpec
-from ..sim import Engine, Event, TokenPool, trace
+from ..sim import Engine, Event, TokenPool
 from .protocols import Protocol, select_protocol
 
 __all__ = ["TransferHandle", "UcxContext", "PRIORITY_COMM", "PRIORITY_COMPUTE"]
@@ -116,10 +116,6 @@ class UcxContext:
         self._pending_recvs: dict[tuple, deque] = {}
         self._devices: dict[int, _DeviceCommState] = {}
         self.protocol_counts: dict[Protocol, int] = defaultdict(int)
-        #: Optional observer with ``on_post(handle)``, called for every
-        #: isend/irecv handle — the validation layer uses it to verify that
-        #: every posted operation eventually completes.
-        self.monitor = None
 
     # -- public API -----------------------------------------------------------
     def isend(
@@ -143,15 +139,9 @@ class UcxContext:
         same_node = self.net.node_of_pe(src_pe) == self.net.node_of_pe(dst_pe)
         handle.protocol = select_protocol(self.spec, size, on_device, same_node=same_node)
         self.protocol_counts[handle.protocol] += 1
-        metrics = self.engine.metrics
-        if metrics is not None:
-            proto = handle.protocol.name.lower()
-            device = "gpu" if on_device else "host"
-            metrics.inc("ucx.messages", protocol=proto, device=device)
-            metrics.inc("ucx.bytes", size, protocol=proto)
-            metrics.observe("ucx.msg_bytes", size, protocol=proto)
-        if self.monitor is not None:
-            self.monitor.on_post(handle)
+        probe = self.engine.probe
+        if probe is not None:
+            probe.on_ucx_post(handle)
         self._match(handle)
         self.engine.spawn(self._send_proc(handle, priority), name="ucx.send")
         return handle
@@ -166,11 +156,9 @@ class UcxContext:
     ) -> TransferHandle:
         """Post a nonblocking receive; ``done`` fires with data in place."""
         handle = self._make_handle("recv", src_pe, dst_pe, size, tag, on_device)
-        if self.engine.metrics is not None:
-            self.engine.metrics.inc(
-                "ucx.recvs_posted", device="gpu" if on_device else "host")
-        if self.monitor is not None:
-            self.monitor.on_post(handle)
+        probe = self.engine.probe
+        if probe is not None:
+            probe.on_ucx_post(handle)
         self._match(handle)
         return handle
 
@@ -288,10 +276,9 @@ class UcxContext:
         n_chunks = max(1, math.ceil(send.size / chunk))
         unstage_events: list[Event] = []
         remaining = send.size
-        if eng.tracer is not None:
-            trace(eng, "ucx.pipeline", f"pe{send.src_pe}", size=send.size, chunks=n_chunks)
-        if eng.metrics is not None:
-            eng.metrics.inc("ucx.pipeline_chunks", n_chunks, pe=send.src_pe)
+        probe = eng.probe
+        if probe is not None:
+            probe.on_ucx_pipeline(send, n_chunks)
         if src_state is not None:
             src_state.active_pipelines += 1
         try:

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ..sim import Engine, Event, IntervalTracker, Resource, SimulationError, Store, trace
+from ..sim import Engine, Event, IntervalTracker, Resource, SimulationError, Store
 from .specs import GpuSpec, HostLinkSpec
 
 __all__ = [
@@ -198,9 +198,9 @@ class CudaStream:
         """Submit an operation; returns the op (``op.done`` = completion)."""
         op = GpuOp(self.device.engine, work, name=name, wait_events=wait_events,
                    reads=reads, writes=writes)
-        san = self.device.engine.sanitizer
-        if san is not None:
-            san.on_op_enqueued(self, op)
+        probe = self.device.engine.probe
+        if probe is not None:
+            probe.on_op_enqueue(self, op)
         self._queue.put_nowait(op)
         self.ops_issued += 1
         return op
@@ -230,8 +230,9 @@ class CudaStream:
             cls = item.__class__
             if cls is not GpuOp:
                 if isinstance(item, CudaEvent):
-                    if eng.sanitizer is not None:
-                        eng.sanitizer.on_event_record(self, item)
+                    probe = eng.probe
+                    if probe is not None:
+                        probe.on_event_record(self, item)
                     item.fired.succeed()
                     continue
                 if isinstance(item, _WaitMarker):
@@ -243,8 +244,9 @@ class CudaStream:
                 deps = pending_waits + op.wait_events
                 pending_waits = []
                 yield eng.all_of(deps)
-            if eng.sanitizer is not None:
-                eng.sanitizer.on_op_dispatch(self, op, deps)
+            probe = eng.probe
+            if probe is not None:
+                probe.on_op_dispatch(self, op, deps)
             yield from self.device._execute(op, self.priority)
 
 
@@ -338,20 +340,15 @@ class GpuDevice:
         if self._has_scaling:
             duration *= self._duration_scale(kind, op.name)
         token = self.trackers[kind].begin()
-        if self.engine.tracer is not None:
-            trace(
-                self.engine,
-                f"gpu.{kind}",
-                self.name,
-                op=op.name,
-                start=self.engine.now,
-                duration=duration,
-            )
+        probe = self.engine.probe
+        if probe is not None:
+            probe.on_op_start(self, op, kind, duration)
         yield duration
         self.trackers[kind].end(token)
         resource.release(req)
-        if self.engine.sanitizer is not None:
-            self.engine.sanitizer.on_op_done(op)
+        probe = self.engine.probe
+        if probe is not None:
+            probe.on_op_done(op)
         op.done.succeed()
 
     def _duration_scale(self, kind: str, name: str) -> float:

@@ -5,11 +5,14 @@ cheap, always-consistent tally of *what happened* (events scheduled,
 messages by protocol path, bytes by size bucket, launches per PE), as
 opposed to the tracer's *when it happened* timeline.
 
-Attachment mirrors :class:`~repro.sim.tracing.Tracer`: ``registry.attach
-(engine)`` sets ``engine.metrics``, and every instrumentation point in the
-simulator guards with a single ``if engine.metrics is not None`` check — a
-run without a registry pays one attribute test per instrumented site and
-allocates nothing.
+The registry is a :class:`~repro.sim.probe.Probe` subscriber: its hooks
+turn bus events into counters, and this module is the one place that fixes
+metric names and labels.  The two event-kernel counters,
+``sim.events.scheduled`` and ``sim.events.executed``, are not counted in the
+kernel: the registry derives them from the engine's sequence number and
+``Engine.events_executed``, relative to their values at attach (synced when
+the registry is read or detached), so the kernel's push paths and loops
+carry no counting at all.
 
 Label discipline
 ----------------
@@ -27,6 +30,8 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left
 from typing import Any, Iterable, Optional
+
+from ..sim.probe import Probe
 
 __all__ = [
     "MAX_SERIES",
@@ -196,43 +201,79 @@ class Histogram(_Metric):
         return cell["sum"] if cell else 0.0
 
 
-class MetricsRegistry:
+class MetricsRegistry(Probe):
     """A named collection of metrics, attachable to one :class:`Engine`.
 
-    Instrumented components use the auto-creating helpers (:meth:`inc`,
-    :meth:`set`, :meth:`observe`), so a site never has to pre-declare its
-    metric; analysis code can also :meth:`declare` metrics up front with
-    help strings for the catalogue.
+    The probe hooks and analysis code use the auto-creating helpers
+    (:meth:`inc`, :meth:`set`, :meth:`observe`), so no metric has to be
+    pre-declared; analysis code can also :meth:`declare` metrics up front
+    with help strings for the catalogue.
     """
 
     def __init__(self, max_series: int = MAX_SERIES):
         self._metrics: dict[str, _Metric] = {}
         self.max_series = max_series
-        self._engine = None
+        #: The engine's ``(_seq, events_executed)`` already counted.
+        self._marks = (0, 0)
 
-    # -- attachment (mirrors Tracer) --------------------------------------
+    # -- attachment --------------------------------------------------------
     def attach(self, engine) -> "MetricsRegistry":
-        """Register as ``engine.metrics``; idempotent on the same engine."""
-        if self._engine is engine:
-            return self
-        if self._engine is not None:
-            self._engine.metrics = None
-        self._engine = engine
-        engine.metrics = self
+        if self.engine is not engine:
+            super().attach(engine)
+            self._marks = (engine._seq, engine.events_executed)
         return self
 
     def detach(self) -> None:
-        """Unregister from the current engine (no-op when unattached)."""
-        if self._engine is not None:
-            if getattr(self._engine, "metrics", None) is self:
-                self._engine.metrics = None
-            self._engine = None
+        self._sync()
+        super().detach()
 
-    def __enter__(self) -> "MetricsRegistry":
-        return self
+    def _sync(self) -> None:
+        """Fold the attached engine's scheduled/executed events since the
+        last sync into the ``sim.events.*`` counters."""
+        engine = self.engine
+        if engine is None:
+            return
+        (scheduled, executed), self._marks = self._marks, (engine._seq, engine.events_executed)
+        if self._marks[0] != scheduled:
+            self.inc("sim.events.scheduled", self._marks[0] - scheduled)
+        if self._marks[1] != executed:
+            self.inc("sim.events.executed", self._marks[1] - executed)
 
-    def __exit__(self, *exc) -> None:
-        self.detach()
+    # -- probe hooks -------------------------------------------------------
+    def on_net_send(self, net, message) -> None:
+        same = net.node_of_pe(message.src_pe) == net.node_of_pe(message.dst_pe)
+        route = "intra" if same else "inter"
+        self.inc("net.messages", route=route)
+        self.inc("net.bytes", message.size, route=route)
+
+    def on_ucx_post(self, handle) -> None:
+        device = "gpu" if handle.on_device else "host"
+        if handle.kind == "send":
+            proto = handle.protocol.name.lower()
+            self.inc("ucx.messages", protocol=proto, device=device)
+            self.inc("ucx.bytes", handle.size, protocol=proto)
+            self.observe("ucx.msg_bytes", handle.size, protocol=proto)
+        else:
+            self.inc("ucx.recvs_posted", device=device)
+
+    def on_ucx_pipeline(self, send, chunks) -> None:
+        self.inc("ucx.pipeline_chunks", chunks, pe=send.src_pe)
+
+    def on_launch_issue(self, owner, op, pe=None, graph=False) -> None:
+        if pe is not None:
+            self.inc("sched.launches", pe=pe.index, kind="graph" if graph else "kernel")
+
+    def on_gm_send(self, pe, size) -> None:
+        self.inc("gm.sends", pe=pe)
+        self.inc("gm.bytes", size, pe=pe)
+
+    def on_sched_message(self, sched, resume) -> None:
+        pe = sched.pe.index
+        self.inc("sched.messages", pe=pe, kind="resume" if resume else "entry")
+        self.set("sched.queue_depth", len(sched.queue.items), pe=pe)
+
+    def on_sched_busy(self, pe, seconds) -> None:
+        self.inc("sched.busy_s", seconds, pe=pe.index)
 
     # -- declaration ------------------------------------------------------
     def counter(self, name: str, help: str = "") -> Counter:
@@ -243,18 +284,14 @@ class MetricsRegistry:
 
     def histogram(self, name: str, help: str = "",
                   buckets: Optional[Iterable[float]] = None) -> Histogram:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = Histogram(
-                name, help=help, buckets=buckets, max_series=self.max_series)
-        elif not isinstance(metric, Histogram):
-            raise TypeError(f"metric {name!r} already declared as {metric.kind}")
-        return metric
+        return self._declare(Histogram, name, help, buckets=buckets)
 
-    def _declare(self, cls, name, help):
+    def _declare(self, cls, name, help, **options):
+        self._sync()
         metric = self._metrics.get(name)
         if metric is None:
-            metric = self._metrics[name] = cls(name, help=help, max_series=self.max_series)
+            metric = self._metrics[name] = cls(
+                name, help=help, max_series=self.max_series, **options)
         elif not isinstance(metric, cls):
             raise TypeError(f"metric {name!r} already declared as {metric.kind}")
         return metric
@@ -280,12 +317,15 @@ class MetricsRegistry:
 
     # -- queries -----------------------------------------------------------
     def get(self, name: str) -> Optional[_Metric]:
+        self._sync()
         return self._metrics.get(name)
 
     def __contains__(self, name: str) -> bool:
+        self._sync()
         return name in self._metrics
 
     def names(self) -> list[str]:
+        self._sync()
         return sorted(self._metrics)
 
     def overflow_total(self) -> int:
@@ -312,6 +352,7 @@ class MetricsRegistry:
         """Counter totals across labels — the compact summary used by
         :class:`~repro.obs.report.PerfReport`.  Includes
         :data:`OVERFLOW_METRIC` when any metric hit its cardinality cap."""
+        self._sync()
         out = {
             name: metric.total()
             for name, metric in sorted(self._metrics.items())

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from ..hardware.network import Message as NetMessage
-from ..sim import trace
 from .costs import MsgPriority
 from .mapping import all_indices, make_mapping
 from .messages import EntryMessage
@@ -85,9 +84,9 @@ class ChareArray:
         cost = costs.send_overhead_s
         if dst_pe != src_pe:
             cost += costs.location_lookup_s + runtime.cluster.spec.node.nic.overhead_s
-        san = runtime.engine.sanitizer
-        if san is not None:
-            san.on_msg_deposit(msg, owner=sender)
+        probe = runtime.engine.probe
+        if probe is not None:
+            probe.on_msg_deposit(msg, owner=sender)
         scheduler = runtime.scheduler_of(src_pe)
         scheduler.post_send(cost, lambda: runtime.deliver(msg, src_pe, dst_pe))
 

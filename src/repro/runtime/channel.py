@@ -92,15 +92,15 @@ class Channel:
         my_pe = chare.pe.index
         scheduler = runtime.scheduler_of(my_pe)
         poll = runtime.costs.hapi_poll_s
-        san = runtime.engine.sanitizer
+        probe = runtime.engine.probe
         # Causality snapshot at the *call* site: the thunk only runs after
         # the NIC-overhead charge, by which point the chare may have moved on.
-        snap = san.snapshot(chare) if san is not None else None
+        snap = probe.clock_snapshot(chare) if probe is not None else None
 
         def thunk():
             handle: TransferHandle = op(runtime.ucx, my_pe, self.peer_pe)
-            if san is not None:
-                san.on_transfer_posted(handle, chare, snapshot=snap)
+            if probe is not None:
+                probe.on_transfer_post(handle, chare, snapshot=snap)
 
             def on_done(ev):
                 # Deposit (note, data): data is the sender's payload for
@@ -114,8 +114,8 @@ class Channel:
                     payload=data,
                     priority=MsgPriority.GPU_COMPLETION,
                 )
-                if san is not None:
-                    san.on_msg_deposit(msg, event=handle.done)
+                if probe is not None:
+                    probe.on_msg_deposit(msg, event=handle.done)
                 runtime.engine.pause(poll).add_callback(
                     lambda _t: scheduler.enqueue(msg)
                 )

@@ -40,18 +40,17 @@ def gpu_message_send(chare, index, method: str, size: int, ref: Any = None) -> N
     dst_pe = array.mapping[index]
     tag = ("gm", array.array_id, next(_gm_seq))
     scheduler = runtime.scheduler_of(src_pe)
-    if runtime.engine.metrics is not None:
-        runtime.engine.metrics.inc("gm.sends", pe=src_pe)
-        runtime.engine.metrics.inc("gm.bytes", size, pe=src_pe)
-
-    san = runtime.engine.sanitizer
-    snap = san.snapshot(chare) if san is not None else None
+    probe = runtime.engine.probe
+    snap = None
+    if probe is not None:
+        probe.on_gm_send(src_pe, size)
+        snap = probe.clock_snapshot(chare)
 
     def thunk():
         handle = runtime.ucx.isend(src_pe, dst_pe, size, tag=tag, on_device=True,
                                    priority=PRIORITY_COMM)
-        if san is not None:
-            san.on_transfer_posted(handle, chare, snapshot=snap)
+        if probe is not None:
+            probe.on_transfer_post(handle, chare, snapshot=snap)
 
     cost = runtime.costs.send_overhead_s + runtime.cluster.spec.node.nic.overhead_s
     scheduler.post_send(cost, thunk)
@@ -73,14 +72,14 @@ def _gm_post(self, msg: EntryMessage) -> None:
     scheduler = runtime.scheduler_of(self.pe.index)
     poll = runtime.costs.hapi_poll_s
 
-    san = runtime.engine.sanitizer
-    snap = san.snapshot(self) if san is not None else None
+    probe = runtime.engine.probe
+    snap = probe.clock_snapshot(self) if probe is not None else None
 
     def thunk():
         handle = runtime.ucx.irecv(info["src_pe"], self.pe.index, info["size"],
                                    tag=info["tag"], on_device=True)
-        if san is not None:
-            san.on_transfer_posted(handle, self, snapshot=snap)
+        if probe is not None:
+            probe.on_transfer_post(handle, self, snapshot=snap)
 
         def on_done(_ev):
             deposit = EntryMessage(
@@ -88,8 +87,8 @@ def _gm_post(self, msg: EntryMessage) -> None:
                 method=info["method"], ref=msg.ref,
                 priority=MsgPriority.GPU_COMPLETION,
             )
-            if san is not None:
-                san.on_msg_deposit(deposit, event=handle.done)
+            if probe is not None:
+                probe.on_msg_deposit(deposit, event=handle.done)
             runtime.engine.pause(poll).add_callback(
                 lambda _t: scheduler.enqueue(deposit)
             )

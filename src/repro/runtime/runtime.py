@@ -144,10 +144,10 @@ class CharmRuntime:
                         )
                         stuck.append(f"  {frame.name or chare!r} waiting on {what}")
             detail = "\n".join(stuck[:20])
-            if self.engine.sanitizer is not None:
-                extra = self.engine.sanitizer.explain_deadlock()
-                if extra:
-                    detail = f"{detail}\n{extra}"
+            probe = self.engine.probe
+            extra = probe.explain_deadlock() if probe is not None else None
+            if extra:
+                detail = f"{detail}\n{extra}"
             raise SimulationError(
                 f"deadlock: {self._live_frames} unfinished frames after quiescence:\n{detail}"
             )

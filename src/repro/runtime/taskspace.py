@@ -93,9 +93,9 @@ class TaskSpace:
             raise RuntimeError(f"{self.name}: task {rec.key} issued twice")
         rec.issued_at = engine.now
         self._events[rec.key] = done_event
-        sanitizer = getattr(engine, "sanitizer", None)
-        if sanitizer is not None:
-            sanitizer.on_task_attach(self, rec.key, done_event)
+        probe = engine.probe
+        if probe is not None:
+            probe.on_task_attach(self, rec.key, done_event)
 
         def _record_finish(_ev, rec=rec, engine=engine):
             if rec.finished_at is not None:

@@ -1,12 +1,14 @@
 """Happens-before concurrency sanitizer for simulation runs.
 
 The :class:`Sanitizer` is a *pure observer* in the same mold as
-:class:`~repro.validate.invariants.InvariantChecker`: it attaches to an
-:class:`~repro.sim.Engine` and keeps its own books via small hooks at the
-points where ordering is established — stream dispatch, launch issue,
-frame wakeups, mailbox consumption, UCX transfer posting and TaskSpace
-attachment.  The event schedule (and therefore every simulated result and
-trace digest) is unchanged whether or not a sanitizer is attached.
+:class:`~repro.validate.invariants.InvariantChecker`: a
+:class:`~repro.sim.probe.Probe` subscriber that keeps its own books from the
+bus events where ordering is established — stream enqueue and dispatch,
+launch issue, frame wakeups, mailbox deposit and consumption, UCX transfer
+posting and TaskSpace attachment — and answers the bus's two queries
+(:meth:`Sanitizer.clock_snapshot`, :meth:`Sanitizer.explain_deadlock`).
+The event schedule (and therefore every simulated result and trace digest)
+is unchanged whether or not a sanitizer is attached.
 
 Model
 -----
@@ -41,9 +43,8 @@ See docs/sanitizer.md for the full model and how apps declare accesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from ..sim import Engine, SimulationError
+from ..sim import Probe, SimulationError
 
 __all__ = ["Diagnostic", "SanitizerError", "Sanitizer"]
 
@@ -85,7 +86,7 @@ class _BufferState:
         self.reads = {}         # lane -> (tick, op name, task key or None)
 
 
-class Sanitizer:
+class Sanitizer(Probe):
     """Attachable happens-before auditor for one simulation run.
 
     Typical wiring (what ``run_app(..., sanitize=True)`` does)::
@@ -97,7 +98,6 @@ class Sanitizer:
     """
 
     def __init__(self, max_findings: int = 200):
-        self.engine: Optional[Engine] = None
         self.findings: list[Diagnostic] = []
         self.max_findings = max_findings
         # Lanes: id(object) -> small int; strong refs keep ids stable.
@@ -134,15 +134,6 @@ class Sanitizer:
         self.accesses_checked = 0
 
     # -- wiring -------------------------------------------------------------
-    def attach(self, engine: Engine) -> "Sanitizer":
-        """Observe ``engine``; the engine gains a ``sanitizer`` attribute
-        that the instrumented call sites consult."""
-        if engine.sanitizer is not None:
-            raise SimulationError("engine already has a sanitizer attached")
-        self.engine = engine
-        engine.sanitizer = self
-        return self
-
     def watch_runtime(self, runtime) -> None:
         """Remember the Charm runtime for the finish-time mailbox scan."""
         self._runtime = runtime
@@ -199,12 +190,12 @@ class Sanitizer:
         self._event_clock[id(event)] = clock
         self._keep[id(event)] = event
 
-    def snapshot(self, owner) -> dict:
+    def clock_snapshot(self, owner) -> dict:
         """Copy of ``owner``'s current lane clock."""
         return dict(self._clock[self._lane(owner)])
 
     # -- hooks: GPU streams -------------------------------------------------
-    def on_op_enqueued(self, stream, op) -> None:
+    def on_op_enqueue(self, stream, op) -> None:
         oid = id(op)
         self._ops[oid] = op
         self._op_stream[oid] = stream.name
@@ -244,24 +235,24 @@ class Sanitizer:
         self.register_event(cuda_event.fired, dict(self._clock[self._lane(stream)]))
 
     # -- hooks: runtime lanes (chares / ranks) ------------------------------
-    def on_launch_issue(self, owner, op) -> None:
-        self._issue_clock[id(op)] = dict(self._clock[self._lane(owner)])
+    def on_launch_issue(self, owner, op, pe=None, graph=False) -> None:
+        if not graph:
+            self._issue_clock[id(op)] = dict(self._clock[self._lane(owner)])
 
     def on_wake(self, owner, event) -> None:
         lane = self._lane(owner)
         _merge(self._clock[lane], self.clock_of(event))
 
-    def on_msg_deposit(self, msg, owner=None, event=None, clock=None) -> None:
+    def on_msg_deposit(self, msg, owner=None, event=None) -> None:
         """Record the causal clock a mailbox deposit carries: the sender's
-        lane clock (entry-method sends), a completion event's clock
-        (channel / GPU-messaging deposits), or an explicit snapshot."""
-        if clock is None:
-            if event is not None:
-                clock = self.clock_of(event)
-            elif owner is not None:
-                clock = dict(self._clock[self._lane(owner)])
-            else:
-                clock = {}
+        lane clock (entry-method sends) or a completion event's clock
+        (channel / GPU-messaging deposits)."""
+        if event is not None:
+            clock = self.clock_of(event)
+        elif owner is not None:
+            clock = dict(self._clock[self._lane(owner)])
+        else:
+            clock = {}
         self._event_clock[id(msg)] = clock
         self._keep[id(msg)] = msg
 
@@ -271,7 +262,7 @@ class Sanitizer:
         if clock:
             _merge(self._clock[lane], clock)
 
-    def on_transfer_posted(self, handle, owner, snapshot=None) -> None:
+    def on_transfer_post(self, handle, owner, snapshot=None) -> None:
         post_clock = dict(self._clock[self._lane(owner)]) if snapshot is None \
             else dict(snapshot)
         self._transfers[id(handle)] = handle

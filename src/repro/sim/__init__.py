@@ -6,7 +6,9 @@ Public surface:
   :class:`AllOf`, :class:`AnyOf` — the event loop and process model.
 * :class:`Store`, :class:`FilterStore`, :class:`PriorityStore`,
   :class:`Resource`, :class:`TokenPool` — queueing primitives.
-* :class:`Tracer`, :class:`IntervalTracker` — instrumentation.
+* :class:`Probe` — the observer bus every observer subscribes to
+  (``engine.probe``); :class:`Tracer`, :class:`IntervalTracker` —
+  instrumentation.
 * :class:`RandomStreams` — reproducible named RNG streams.
 """
 
@@ -18,9 +20,10 @@ from .errors import (
     SimulationError,
     StopEngine,
 )
+from .probe import Probe
 from .resources import FilterStore, PriorityStore, Request, Resource, Store, TokenPool
 from .rng import RandomStreams
-from .tracing import (IntervalTracker, Tracer, TraceRecord, merge_intervals, overlap_seconds, to_chrome_trace, trace)
+from .tracing import (IntervalTracker, Tracer, TraceRecord, merge_intervals, overlap_seconds, to_chrome_trace)
 
 __all__ = [
     "AllOf",
@@ -40,6 +43,7 @@ __all__ = [
     "Resource",
     "Store",
     "TokenPool",
+    "Probe",
     "RandomStreams",
     "IntervalTracker",
     "Tracer",
@@ -47,5 +51,4 @@ __all__ = [
     "merge_intervals",
     "overlap_seconds",
     "to_chrome_trace",
-    "trace",
 ]

@@ -117,8 +117,6 @@ class Event:
         engine = self.engine
         _heappush(engine._heap, (engine.now, priority, engine._seq, self))
         engine._seq += 1
-        if engine.metrics is not None:
-            engine.metrics.inc("sim.events.scheduled")
         return self
 
     def fail(self, exc: BaseException, priority: int = NORMAL) -> "Event":
@@ -175,8 +173,6 @@ class Timeout(Event):
         self.delay = delay
         _heappush(engine._heap, (engine.now + delay, NORMAL, engine._seq, self))
         engine._seq += 1
-        if engine.metrics is not None:
-            engine.metrics.inc("sim.events.scheduled")
 
 
 class _PooledEvent(Event):
@@ -320,8 +316,6 @@ class Process(Event):
         start._waiter = self._resume_cb
         _heappush(engine._heap, (engine.now, NORMAL, engine._seq, start))
         engine._seq += 1
-        if engine.metrics is not None:
-            engine.metrics.inc("sim.events.scheduled")
         self._waiting_on: Optional[Event] = start
 
     @property
@@ -406,8 +400,6 @@ class Process(Event):
             ev._waiter = self._resume_cb
             _heappush(engine._heap, (engine.now + target, NORMAL, engine._seq, ev))
             engine._seq += 1
-            if engine.metrics is not None:
-                engine.metrics.inc("sim.events.scheduled")
             self._waiting_on = ev
             return
         if cls is not _PooledEvent and cls is not Event and not isinstance(target, Event):
@@ -449,30 +441,15 @@ class Engine:
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
-        self.tracer = None  # set by sim.tracing.Tracer.attach()
-        self.metrics = None  # set by obs.metrics.MetricsRegistry.attach()
-        self.sanitizer = None  # set by sanitize.Sanitizer.attach()
-        self._monitors: list[Callable[[float, Event], None]] = []
+        #: The observer bus (:mod:`repro.sim.probe`): ``None`` when nothing
+        #: is attached, else the one subscriber or a fan-out over several.
+        self.probe = None
         #: Events processed over the engine's lifetime (plain int: the
         #: events/sec numerator for ``benchmarks/bench_engine.py``).
         self.events_executed = 0
         #: Free-list of recycled :class:`_PooledEvent` objects (see
         #: :meth:`pause`); the run loop returns fired pooled events here.
         self._event_pool: list[_PooledEvent] = []
-
-    # -- monitoring --------------------------------------------------------
-    def add_monitor(self, fn: Callable[[float, "Event"], None]) -> None:
-        """Register ``fn(time, event)`` to observe every processed event.
-
-        Monitors fire after an event is popped from the heap and before its
-        callbacks run — the hook the validation layer's invariant checker
-        uses to audit time monotonicity without touching the hot path
-        (a single list check when no monitor is attached).
-        """
-        self._monitors.append(fn)
-
-    def remove_monitor(self, fn: Callable[[float, "Event"], None]) -> None:
-        self._monitors.remove(fn)
 
     # -- event construction ------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -508,8 +485,6 @@ class Engine:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         _heappush(self._heap, (self.now + delay, NORMAL, self._seq, event))
         self._seq += 1
-        if self.metrics is not None:
-            self.metrics.inc("sim.events.scheduled")
         return event
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
@@ -547,8 +522,6 @@ class Engine:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         heapq.heappush(self._heap, (self.now + delay, priority, self._seq, event))
         self._seq += 1
-        if self.metrics is not None:
-            self.metrics.inc("sim.events.scheduled")
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -561,11 +534,9 @@ class Engine:
             raise SimulationError("event heap corrupted: time went backwards")
         self.now = time
         self.events_executed += 1
-        if self._monitors:
-            for monitor in self._monitors:
-                monitor(time, event)
-        if self.metrics is not None:
-            self.metrics.inc("sim.events.executed")
+        on_event = self.probe.handler("on_event") if self.probe is not None else None
+        if on_event is not None:
+            on_event(time, event)
         event._process()
         if event._poolable:
             self._recycle(event)
@@ -600,24 +571,21 @@ class Engine:
 
         Notes
         -----
-        This is the simulator's innermost loop: locals are hoisted, the
+        This is the simulator's innermost loop: locals are hoisted and the
         event-processing protocol (``Event._process`` plus the crash
-        check) is inlined, and the bound-free dispatch path (no ``until``,
-        no ``max_events``) skips the per-event bound checks entirely.
-        When no monitor and no metrics registry is attached at entry, a
-        bare variant with zero observer checks runs instead — attach
-        observers before calling ``run``; observers attached mid-run (from
-        a callback) are only guaranteed to be seen if at least one was
-        already attached at entry.
+        check) is inlined.  With no ``until``, no ``max_events`` and no
+        attached probe observing processed events (``on_event``) at entry,
+        a bare variant runs with no per-event bound or observer checks —
+        attach observers before calling ``run``; an ``on_event`` subscriber
+        attached mid-run (from a callback) is not seen until the next call.
         """
         heap = self._heap
         pop = heapq.heappop
         pool = self._event_pool
-        monitors = self._monitors
-        metrics = self.metrics
+        on_event = self.probe.handler("on_event") if self.probe is not None else None
         count = 0
         try:
-            if until is None and max_events is None and not monitors and metrics is None:
+            if until is None and max_events is None and on_event is None:
                 # Bare fast-dispatch kernel: no bounds, no observers.  The
                 # pop count falls out of arithmetic (pops = starting heap
                 # size + pushes − leftovers), so the loop body carries no
@@ -659,39 +627,6 @@ class Engine:
                                 self._raise_crash(event)
                 finally:
                     count = start_len + (self._seq - seq0) - len(heap)
-            elif until is None and max_events is None:
-                # Fast-dispatch kernel with observers attached.
-                while heap:
-                    time, _prio, _seq, event = pop(heap)
-                    count += 1
-                    self.now = time
-                    if monitors:
-                        for monitor in monitors:
-                            monitor(time, event)
-                    if metrics is not None:
-                        metrics.inc("sim.events.executed")
-                    event._state = PROCESSED
-                    if event._poolable:
-                        waiter = event._waiter
-                        if waiter is not None:
-                            event._waiter = None
-                            waiter(event)
-                        callbacks = event.callbacks
-                        if callbacks:
-                            for fn in callbacks:
-                                fn(event)
-                            del callbacks[:]
-                        event._value = None
-                        event._ok = True
-                        pool.append(event)
-                    else:
-                        callbacks = event.callbacks
-                        if callbacks:
-                            event.callbacks = []
-                            for fn in callbacks:
-                                fn(event)
-                        elif event._crashable and not event._ok:
-                            self._raise_crash(event)
             else:
                 while heap:
                     if until is not None and heap[0][0] > until:
@@ -702,11 +637,8 @@ class Engine:
                     time, _prio, _seq, event = pop(heap)
                     count += 1
                     self.now = time
-                    if monitors:
-                        for monitor in monitors:
-                            monitor(time, event)
-                    if metrics is not None:
-                        metrics.inc("sim.events.executed")
+                    if on_event is not None:
+                        on_event(time, event)
                     event._state = PROCESSED
                     if event._poolable:
                         # Pooled events have no outside watchers by contract,
@@ -748,27 +680,13 @@ class Engine:
         semantics as :meth:`run`).
         """
         done = self.all_of(events)
-        heap = self._heap
-        pop = heapq.heappop
         count = 0
-        try:
-            while not done.triggered and heap:
-                if max_events is not None and count >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} in run_until_complete")
-                time, _prio, _seq, event = pop(heap)
-                count += 1
-                self.now = time
-                if self._monitors:
-                    for monitor in self._monitors:
-                        monitor(time, event)
-                if self.metrics is not None:
-                    self.metrics.inc("sim.events.executed")
-                event._process()
-                if event._poolable:
-                    self._recycle(event)
-        finally:
-            self.events_executed += count
+        while not done.triggered and self._heap:
+            if max_events is not None and count >= max_events:
+                raise SimulationError(
+                    f"exceeded max_events={max_events} in run_until_complete")
+            self.step()
+            count += 1
         if not done.triggered:
             raise SimulationError("event heap drained before awaited events triggered (deadlock?)")
         if not done.ok:

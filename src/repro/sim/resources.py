@@ -235,11 +235,6 @@ class Resource:
         self._waiters: list[tuple[float, int, Request]] = []
         self._counter = 0
         self.users: list[Request] = []
-        #: Optional observer with ``on_grant(resource, amount)`` /
-        #: ``on_release(resource, amount)`` — used by the validation layer to
-        #: independently audit capacity conservation.  ``None`` costs one
-        #: attribute check per grant.
-        self.monitor = None
 
     @property
     def available(self) -> int:
@@ -263,8 +258,9 @@ class Resource:
             raise SimulationError(f"release of non-held request on {self.name!r}")
         self.users.remove(request)
         self.in_use -= request.amount
-        if self.monitor is not None:
-            self.monitor.on_release(self, request.amount)
+        probe = self.engine.probe
+        if probe is not None:
+            probe.on_release(self, request.amount)
         self._grant()
 
     def _grant(self) -> None:
@@ -275,8 +271,9 @@ class Resource:
             heapq.heappop(self._waiters)
             self.in_use += req.amount
             self.users.append(req)
-            if self.monitor is not None:
-                self.monitor.on_grant(self, req.amount)
+            probe = self.engine.probe
+            if probe is not None:
+                probe.on_grant(self, req.amount)
             # No value: a request succeeding with itself would be a
             # self-reference only the cycle collector could free.
             req.succeed()

@@ -5,7 +5,10 @@ tests and analysis use it to *prove* that overlap happens (GPU busy while
 messages are in flight), to measure per-resource utilization, and to debug
 schedules.
 
-Tracing is opt-in and costs nothing when disabled.
+The :class:`Tracer` is a :class:`~repro.sim.probe.Probe` subscriber: it
+turns the bus events it hears into :class:`TraceRecord` entries, and this
+module is the one place that fixes their categories, actors and payload
+keys.  Tracing is opt-in and costs nothing when no probe is attached.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 from .engine import Engine
+from .probe import Probe
 
 __all__ = ["TraceRecord", "Tracer", "IntervalTracker", "overlap_seconds", "to_chrome_trace"]
 
@@ -41,8 +45,9 @@ class TraceRecord:
     data: dict[str, Any] = field(default_factory=dict)
 
 
-class Tracer:
-    """Collects :class:`TraceRecord` entries from instrumented components.
+class Tracer(Probe):
+    """Collects :class:`TraceRecord` entries from the probe bus (and from
+    direct :meth:`emit` calls) against the attached engine's clock.
 
     Parameters
     ----------
@@ -55,43 +60,35 @@ class Tracer:
         self.records: list[TraceRecord] = []
         self._prefixes = tuple(categories) if categories else None
         self.enabled = True
-        self._engine: Optional[Engine] = None
-
-    def attach(self, engine: Engine) -> "Tracer":
-        """Register as ``engine.tracer`` and record against its clock.
-
-        Idempotent: re-attaching to the same engine is a no-op, and
-        attaching to a different engine detaches from the old one first, so
-        repeated runs never leave stale cross-references behind.
-        """
-        if self._engine is engine:
-            return self
-        if self._engine is not None:
-            self.detach()
-        self._engine = engine
-        engine.tracer = self
-        return self
-
-    def detach(self) -> None:
-        """Unregister from the current engine (no-op when unattached)."""
-        if self._engine is not None:
-            if getattr(self._engine, "tracer", None) is self:
-                self._engine.tracer = None
-            self._engine = None
-
-    def __enter__(self) -> "Tracer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.detach()
 
     def emit(self, category: str, actor: str, **data: Any) -> None:
         if not self.enabled:
             return
         if self._prefixes is not None and not category.startswith(self._prefixes):
             return
-        assert self._engine is not None, "Tracer.emit before attach()"
-        self.records.append(TraceRecord(self._engine.now, category, actor, data))
+        assert self.engine is not None, "Tracer.emit before attach()"
+        self.records.append(TraceRecord(self.engine.now, category, actor, data))
+
+    # -- probe hooks ---------------------------------------------------------
+    def on_net_send(self, net, message) -> None:
+        self.emit("net.send", f"pe{message.src_pe}", dst=message.dst_pe,
+                  size=message.size, tag=message.tag)
+
+    def on_net_deliver(self, net, message) -> None:
+        self.emit("net.deliver", f"pe{message.dst_pe}", src=message.src_pe,
+                  size=message.size, tag=message.tag,
+                  latency=self.engine.now - message.sent_at)
+
+    def on_ucx_pipeline(self, send, chunks) -> None:
+        self.emit("ucx.pipeline", f"pe{send.src_pe}", size=send.size, chunks=chunks)
+
+    def on_op_start(self, device, op, kind, duration) -> None:
+        self.emit(f"gpu.{kind}", device.name, op=op.name, start=self.engine.now,
+                  duration=duration)
+
+    def on_iter_done(self, unit, iteration) -> None:
+        key = getattr(unit, "index", None) or getattr(unit, "rank", None)
+        self.emit("app.iter_done", str(key), iter=iteration)
 
     # -- queries -------------------------------------------------------------
     def select(
@@ -114,13 +111,6 @@ class Tracer:
 
     def clear(self) -> None:
         self.records.clear()
-
-
-def trace(engine: Engine, category: str, actor: str, **data: Any) -> None:
-    """Emit a record if a tracer is attached to ``engine`` (no-op otherwise)."""
-    tracer = engine.tracer
-    if tracer is not None:
-        tracer.emit(category, actor, **data)
 
 
 class IntervalTracker:

@@ -1,13 +1,13 @@
 """Live invariant auditing for simulation runs.
 
-The :class:`InvariantChecker` is an *independent* observer: it keeps its own
-books (event times, per-resource grant counts, per-channel message counts,
-posted communication handles) via the monitor hooks on
-:class:`~repro.sim.Engine`, :class:`~repro.sim.Resource`,
-:class:`~repro.hardware.network.Network` and
-:class:`~repro.comm.ucx.UcxContext`, and cross-checks them against what the
-components claim.  A bug in the engine's bookkeeping therefore cannot hide
-itself — the double-entry principle.
+The :class:`InvariantChecker` is an *independent* observer: a
+:class:`~repro.sim.probe.Probe` subscriber that keeps its own books (event
+times, per-resource grant counts, per-channel message counts, posted
+communication handles) from the bus events — processed events, resource
+grants and releases, network sends and deliveries, UCX posts — and
+cross-checks them against what the components claim.  This module is the
+one place those books live.  A bug in the engine's bookkeeping therefore
+cannot hide itself — the double-entry principle.
 
 Checked while running
 ---------------------
@@ -40,7 +40,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from ..sim import Engine, SimulationError
+from ..sim import Probe, SimulationError
 from ..sim.resources import Resource
 
 __all__ = ["Violation", "InvariantError", "InvariantChecker"]
@@ -69,7 +69,7 @@ class InvariantError(SimulationError):
         super().__init__(f"{len(violations)} invariant violation(s):\n{lines}{extra}")
 
 
-class InvariantChecker:
+class InvariantChecker(Probe):
     """Attachable auditor for one simulation run.
 
     Typical wiring (what ``run_app(..., validate=True)`` does)::
@@ -83,7 +83,6 @@ class InvariantChecker:
     """
 
     def __init__(self, max_violations: int = 200):
-        self.engine: Optional[Engine] = None
         self.violations: list[Violation] = []
         self.max_violations = max_violations
         self.events_processed = 0
@@ -104,18 +103,12 @@ class InvariantChecker:
         self._finished = False
 
     # -- wiring -------------------------------------------------------------
-    def attach(self, engine: Engine) -> "InvariantChecker":
-        """Audit ``engine``'s event stream (time monotonicity)."""
-        self.engine = engine
-        engine.add_monitor(self._on_event)
-        return self
-
     def watch_resource(self, resource: Resource) -> None:
-        """Independently track ``resource``'s grants and releases."""
+        """Independently track ``resource``'s grants and releases (grants
+        on unwatched resources are not audited)."""
         key = id(resource)
         self._held.setdefault(key, 0)
         self._resources[key] = resource
-        resource.monitor = self
 
     def watch_cluster(self, cluster) -> None:
         """Watch every exclusive/counted resource of the machine: GPU
@@ -131,20 +124,19 @@ class InvariantChecker:
         net = cluster.network
         for port in (*net.inject, *net.eject, *net.intra):
             self.watch_resource(port)
-        net.monitor = self
         self._net = net
 
     def watch_ucx(self, ucx) -> None:
-        """Record every posted isend/irecv to verify completion at finish."""
-        ucx.monitor = self
+        """Verify at finish that every posted isend/irecv completed and that
+        ``ucx`` holds no unmatched transfers."""
         self._ucx = ucx
 
     def watch_runtime(self, runtime) -> None:
         """Remember the Charm runtime for finish-time queue/mailbox checks."""
         self._runtime = runtime
 
-    # -- live hooks (engine / resource / network / ucx monitors) -----------
-    def _on_event(self, time: float, event) -> None:
+    # -- probe hooks ----------------------------------------------------------
+    def on_event(self, time: float, event) -> None:
         self.events_processed += 1
         if time < self._last_time:
             self._record(
@@ -157,7 +149,10 @@ class InvariantChecker:
             self._last_time = time
 
     def on_grant(self, resource: Resource, amount: int) -> None:
-        held = self._held.get(id(resource), 0) + amount
+        held = self._held.get(id(resource))
+        if held is None:
+            return
+        held += amount
         self._held[id(resource)] = held
         if held > resource.capacity:
             rule = ("resource-exclusivity" if resource.capacity == 1
@@ -168,7 +163,10 @@ class InvariantChecker:
             )
 
     def on_release(self, resource: Resource, amount: int) -> None:
-        held = self._held.get(id(resource), 0) - amount
+        held = self._held.get(id(resource))
+        if held is None:
+            return
+        held -= amount
         self._held[id(resource)] = held
         if held < 0:
             self._record(
@@ -176,13 +174,13 @@ class InvariantChecker:
                 f"release without matching grant (balance {held})",
             )
 
-    def on_send(self, message) -> None:
+    def on_net_send(self, net, message) -> None:
         self._chan_sent[(message.src_pe, message.dst_pe)] += 1
 
-    def on_deliver(self, message) -> None:
+    def on_net_deliver(self, net, message) -> None:
         self._chan_delivered[(message.src_pe, message.dst_pe)] += 1
 
-    def on_post(self, handle) -> None:
+    def on_ucx_post(self, handle) -> None:
         self._posted.append(handle)
 
     # -- finish-time checks -------------------------------------------------

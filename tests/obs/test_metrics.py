@@ -131,10 +131,10 @@ def test_attach_is_idempotent_and_migrates_engines():
     eng1, eng2 = Engine(), Engine()
     assert reg.attach(eng1) is reg
     reg.attach(eng1)  # same engine: no-op
-    assert eng1.metrics is reg
+    assert eng1.probe is reg
     reg.attach(eng2)  # new engine: old reference cleared
-    assert eng1.metrics is None
-    assert eng2.metrics is reg
+    assert eng1.probe is None
+    assert eng2.probe is reg
 
 
 def test_detach_clears_engine_reference():
@@ -142,15 +142,20 @@ def test_detach_clears_engine_reference():
     eng = Engine()
     reg.attach(eng)
     reg.detach()
-    assert eng.metrics is None
+    assert eng.probe is None
     reg.detach()  # no-op when unattached
 
 
 def test_context_manager_detaches_on_exit():
     eng = Engine()
     with MetricsRegistry().attach(eng) as reg:
-        assert eng.metrics is reg
-    assert eng.metrics is None
+        assert eng.probe is reg
+    assert eng.probe is None
+
+
+# ---------------------------------------------------------------------------
+# Engine counters (derived from the engine at attach)
+# ---------------------------------------------------------------------------
 
 
 def test_engine_counts_events_only_when_registry_attached():
@@ -160,7 +165,7 @@ def test_engine_counts_events_only_when_registry_attached():
     eng = Engine()
     eng.process(proc(eng))
     eng.run()
-    assert eng.metrics is None  # zero-cost default: no registry, no counting
+    assert eng.probe is None  # zero-cost default: no registry, no counting
 
     eng2 = Engine()
     reg = MetricsRegistry().attach(eng2)

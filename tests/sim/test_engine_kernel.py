@@ -17,6 +17,7 @@ from repro.sim import (
     Engine,
     FilterStore,
     Interrupt,
+    Probe,
     ProcessCrashed,
     SimulationError,
     Store,
@@ -271,8 +272,15 @@ def test_bare_loop_event_count_after_stop():
 
 
 def test_observed_loop_counts_match_bare_loop():
-    """Attaching a metrics registry selects the observed loop; the event
-    count and schedule must not change."""
+    """Attaching an ``on_event`` subscriber selects the observed loop; the
+    event count and schedule must not change, and the metrics registry's
+    derived event counters agree with both."""
+
+    class Count(Probe):
+        seen = 0
+
+        def on_event(self, _time, _event):
+            self.seen += 1
 
     def program(eng):
         def chain():
@@ -286,8 +294,10 @@ def test_observed_loop_counts_match_bare_loop():
     bare = program(Engine())
     eng = Engine()
     registry = MetricsRegistry().attach(eng)
+    counter = Count().attach(eng)
     observed = program(eng)
     assert observed == bare
+    assert counter.seen == bare[0]
     assert registry.counter("sim.events.executed").value() == bare[0]
     assert registry.counter("sim.events.scheduled").value() == bare[0]
 
@@ -452,11 +462,12 @@ def test_simple_store_invariant_items_xor_getters():
     store = Store(eng, name="s")
     violations = []
 
-    def audit(_time, _event):
-        if store.items and store._getters:
-            violations.append((eng.now, list(store.items)))
+    class Audit(Probe):
+        def on_event(self, _time, _event):
+            if store.items and store._getters:
+                violations.append((eng.now, list(store.items)))
 
-    eng.add_monitor(audit)
+    Audit().attach(eng)
 
     def churn(i):
         for n in range(10):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine, IntervalTracker, Tracer, merge_intervals, overlap_seconds, trace
+from repro.sim import Engine, IntervalTracker, Tracer, merge_intervals, overlap_seconds
 
 
 def test_tracer_records_time_and_payload():
@@ -11,7 +11,7 @@ def test_tracer_records_time_and_payload():
 
     def proc():
         yield eng.timeout(2.0)
-        trace(eng, "gpu.kernel", "gpu0", duration=1.5)
+        tracer.emit("gpu.kernel", "gpu0", duration=1.5)
 
     eng.process(proc())
     eng.run()
@@ -21,25 +21,20 @@ def test_tracer_records_time_and_payload():
     assert rec.data == {"duration": 1.5}
 
 
-def test_trace_noop_without_tracer():
-    eng = Engine()
-    trace(eng, "x", "y")  # must not raise
-
-
 def test_tracer_category_filter():
     eng = Engine()
     tracer = Tracer(categories=["nic."]).attach(eng)
-    trace(eng, "nic.send", "n0")
-    trace(eng, "gpu.kernel", "g0")
+    tracer.emit("nic.send", "n0")
+    tracer.emit("gpu.kernel", "g0")
     assert [r.category for r in tracer.records] == ["nic.send"]
 
 
 def test_tracer_select():
     eng = Engine()
     tracer = Tracer().attach(eng)
-    trace(eng, "nic.send", "n0", size=10)
-    trace(eng, "nic.recv", "n1", size=10)
-    trace(eng, "gpu.kernel", "g0")
+    tracer.emit("nic.send", "n0", size=10)
+    tracer.emit("nic.recv", "n1", size=10)
+    tracer.emit("gpu.kernel", "g0")
     assert len(tracer.select(category="nic.")) == 2
     assert len(tracer.select(actor="n1")) == 1
     assert len(tracer.select(predicate=lambda r: r.data.get("size") == 10)) == 2
@@ -49,7 +44,7 @@ def test_tracer_disable():
     eng = Engine()
     tracer = Tracer().attach(eng)
     tracer.enabled = False
-    trace(eng, "a", "b")
+    tracer.emit("a", "b")
     assert tracer.records == []
 
 
@@ -176,8 +171,8 @@ def test_chrome_trace_export():
 
     eng = Engine()
     tracer = Tracer().attach(eng)
-    trace(eng, "gpu.compute", "n0.gpu1", op="update", duration=2e-3)
-    trace(eng, "net.send", "pe3", dst=5, size=1024)
+    tracer.emit("gpu.compute", "n0.gpu1", op="update", duration=2e-3)
+    tracer.emit("net.send", "pe3", dst=5, size=1024)
     events = to_chrome_trace(tracer)
     assert len(events) == 2
     slice_ev, instant_ev = events

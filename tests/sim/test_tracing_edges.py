@@ -96,7 +96,7 @@ def test_attach_same_engine_is_idempotent():
     eng = Engine()
     tracer = Tracer().attach(eng)
     assert tracer.attach(eng) is tracer
-    assert eng.tracer is tracer
+    assert eng.probe is tracer
     tracer.emit("x", "a")
     assert len(tracer.records) == 1  # no double-recording after re-attach
 
@@ -105,15 +105,15 @@ def test_reattach_to_new_engine_clears_old_reference():
     eng1, eng2 = Engine(), Engine()
     tracer = Tracer().attach(eng1)
     tracer.attach(eng2)
-    assert eng1.tracer is None
-    assert eng2.tracer is tracer
+    assert eng1.probe is None
+    assert eng2.probe is tracer
 
 
 def test_detach_clears_engine_and_is_safe_to_repeat():
     eng = Engine()
     tracer = Tracer().attach(eng)
     tracer.detach()
-    assert eng.tracer is None
+    assert eng.probe is None
     tracer.detach()  # no-op when unattached
 
 
@@ -123,14 +123,14 @@ def test_detach_leaves_foreign_tracer_alone():
     first = Tracer().attach(eng)
     second = Tracer().attach(eng)
     first.detach()
-    assert eng.tracer is second
+    assert eng.probe is second
 
 
 def test_context_manager_detaches_on_exit():
     eng = Engine()
     with Tracer().attach(eng) as tracer:
         tracer.emit("cat", "actor")
-    assert eng.tracer is None
+    assert eng.probe is None
     assert len(tracer.records) == 1  # records survive detachment
 
 

@@ -3,8 +3,9 @@ same result) run twice, and under process-pool fan-out."""
 
 from repro.exec import ParallelRunner
 from repro.hardware import MachineSpec
-from repro.apps import Jacobi3DConfig
-from repro.validate import CANONICAL_CONFIGS, golden_entry, golden_worker
+from repro.apps import Jacobi3DConfig, run_app
+from repro.obs import Observatory
+from repro.validate import CANONICAL_CONFIGS, GoldenStore, golden_entry, golden_worker, trace_digest
 
 
 def _configs():
@@ -41,3 +42,15 @@ def test_validating_runner_matches_plain_runner():
     plain = ParallelRunner(jobs=1).run_configs(configs)
     audited = ParallelRunner(jobs=1, validate=True).run_configs(configs)
     assert [r.to_dict() for r in plain] == [r.to_dict() for r in audited]
+
+
+def test_all_four_subscribers_at_once_match_golden_and_observatory_only():
+    """Tracer, metrics registry, invariant checker and sanitizer share one
+    engine through the probe fan-out: the trace still matches the committed
+    golden digest and the counters match an observatory-only run."""
+    cfg = CANONICAL_CONFIGS["charm-d"]
+    everything, alone = Observatory(), Observatory()
+    observed = run_app(cfg, observatory=everything, validate=True, sanitize=True)
+    bare = run_app(cfg, observatory=alone)
+    assert trace_digest(everything.tracer) == GoldenStore().load("charm-d")["trace_digest"]
+    assert everything.report(observed).counters == alone.report(bare).counters

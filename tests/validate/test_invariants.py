@@ -126,8 +126,8 @@ def test_time_monotonicity_violation_detected():
     eng = Engine()
     checker = InvariantChecker().attach(eng)
     ev = type("FakeEvent", (), {"name": "bad"})()
-    checker._on_event(5.0, ev)
-    checker._on_event(3.0, ev)  # time went backwards
+    checker.on_event(5.0, ev)
+    checker.on_event(3.0, ev)  # time went backwards
     assert any(v.rule == "time-monotonicity" and v.time == 3.0
                for v in checker.violations)
 
