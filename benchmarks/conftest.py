@@ -5,8 +5,9 @@ experiment execution layer (``repro.exec``): a declarative plan run by a
 :class:`~repro.exec.ParallelRunner` backed by the content-addressed result
 cache.  Each prints the paper-style table (plus an ASCII chart), saves the
 raw series to ``results/<figure_id>.json``, asserts the figure's shape
-claims, and records per-figure wall-clock + cache-hit counts into
-``results/bench_meta.json`` (the perf trajectory seed).
+claims, and prints the runner's point, cache-hit and wall-clock stats.
+Host time is measured by ``hostbench/`` and its exact counts are pinned by
+``scripts/host_counts.py``.
 
 Environment knobs:
 
@@ -21,8 +22,6 @@ Environment knobs:
 from __future__ import annotations
 
 import os
-import subprocess
-from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -30,13 +29,11 @@ import pytest
 from repro.analysis import render_figure
 from repro.core import FULL_NODES, QUICK_NODES, render_claims
 from repro.exec import ParallelRunner, ResultCache
-from repro.obs import append_bench_history
 
 RESULTS_DIR = Path(
     os.environ.get("REPRO_RESULTS_DIR",
                    Path(__file__).resolve().parent.parent / "results")
 )
-BENCH_META_PATH = RESULTS_DIR / "bench_meta.json"
 
 
 def ladder(key: str):
@@ -53,40 +50,6 @@ def make_runner() -> ParallelRunner:
     return ParallelRunner(jobs=jobs, cache=cache)
 
 
-def current_commit() -> str:
-    """Short git rev of HEAD, or ``""`` outside a checkout — stamped into
-    every history entry so the trend dashboard (``repro perf trend``) can
-    draw per-PR boundary markers."""
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=Path(__file__).resolve().parent, capture_output=True,
-            text=True, timeout=10, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        return ""
-
-
-def record_bench_meta(figure_id: str, stats) -> None:
-    """Append one figure's runner metrics to its timestamped history in
-    ``results/bench_meta.json`` — each run extends the figure's perf
-    trajectory (``{"latest": ..., "history": [...]}``) instead of erasing
-    the previous one."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    entry = {
-        "points": stats.points,
-        "cache_hits": stats.cache_hits,
-        "retries": stats.retries,
-        "jobs": stats.jobs,
-        "wall_s": round(stats.wall_s, 6),
-    }
-    commit = current_commit()
-    if commit:
-        entry["commit"] = commit
-    append_bench_history(BENCH_META_PATH, figure_id, entry,
-                         now=datetime.now(timezone.utc))
-
-
 def report(fig, claims, extra_notes=(), runner=None):
     """Print, persist, and assert one reproduced figure."""
     for note in extra_notes:
@@ -97,7 +60,6 @@ def report(fig, claims, extra_notes=(), runner=None):
     print(render_figure(fig))
     print(render_claims(claims))
     if runner is not None:
-        record_bench_meta(fig.figure_id, runner.stats)
         print(f"[exec] {runner.stats.describe()}")
     failed = [c for c in claims if not c.ok]
     assert not failed, "shape claims failed:\n" + render_claims(failed)

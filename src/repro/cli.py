@@ -197,18 +197,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pcmp = perf_sub.add_parser(
         "compare", help="regression gate: exit 1 if current is slower than baseline")
     pcmp.add_argument("baseline", metavar="BASELINE.json",
-                      help="perf-report or bench_meta JSON")
+                      help="perf-report JSON (repro.perf/1)")
     pcmp.add_argument("current", metavar="CURRENT.json",
-                      help="perf-report or bench_meta JSON")
+                      help="perf-report JSON (repro.perf/1)")
     pcmp.add_argument("--tolerance", type=float, default=0.05, metavar="FRAC",
                       help="allowed slowdown fraction (default 0.05 = 5%%)")
-    pcmp.add_argument("--tolerance-for", action="append", default=[],
-                      dest="tolerance_for", metavar="METRIC=FRAC",
-                      help="per-metric tolerance override, e.g. "
-                           "engine.wall_s=0.25 (repeatable)")
     pcmp.add_argument("--format", choices=["text", "json"], default="text",
                       help="output format (default text; json is the stable "
-                           "repro.perf-compare/1 schema)")
+                           "repro.perf-compare/2 schema)")
 
     pdiff = perf_sub.add_parser(
         "diff", help="differential analysis: *why* two perf reports differ "
@@ -219,19 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="perf-report JSON (repro.perf/1)")
     pdiff.add_argument("--format", choices=["text", "json"], default="text",
                        help="output format (default text)")
-
-    ptrend = perf_sub.add_parser(
-        "trend", help="render the bench_meta.json wall-clock history as a "
-                      "static HTML dashboard")
-    ptrend.add_argument("--meta", metavar="PATH",
-                        default="results/bench_meta.json",
-                        help="bench-meta trajectory file "
-                             "(default results/bench_meta.json)")
-    ptrend.add_argument("--out", metavar="PATH", default="results/trend.html",
-                        help="output HTML path (default results/trend.html)")
-    ptrend.add_argument("--tolerance", type=float, default=0.05, metavar="FRAC",
-                        help="regression-annotation threshold vs the previous "
-                             "run (default 0.05 = 5%%)")
 
     pwhat = perf_sub.add_parser(
         "whatif", help="causal what-if projections from one recorded run "
@@ -543,31 +526,16 @@ def _cmd_perf(args) -> int:
     if args.perf_command == "compare":
         from .obs import SchemaMismatch, diff_reports
 
-        overrides = {}
-        for spec in args.tolerance_for:
-            metric, sep, frac = spec.partition("=")
-            try:
-                if not sep or not metric:
-                    raise ValueError(spec)
-                overrides[metric] = float(frac)
-                if overrides[metric] < 0:
-                    raise ValueError(spec)
-            except ValueError:
-                print(f"perf compare: bad --tolerance-for {spec!r} "
-                      f"(expected METRIC=FRAC with FRAC >= 0)",
-                      file=sys.stderr)
-                return 2
         baseline = json.loads(Path(args.baseline).read_text())
         current = json.loads(Path(args.current).read_text())
-        comparison = compare_perf(baseline, current, tolerance=args.tolerance,
-                                  overrides=overrides)
+        comparison = compare_perf(baseline, current, tolerance=args.tolerance)
         if not comparison.ok:
             # Explain the trip: when both inputs are full perf reports the
             # differential's critical-path decomposition names the culprit.
             try:
                 comparison.blame = diff_reports(baseline, current).blame()
             except SchemaMismatch:
-                pass  # bench_meta trajectories have no critical path
+                pass  # a non-report input has no critical path to blame
         if args.format == "json":
             print(json.dumps(comparison.to_dict(), indent=2, sort_keys=True))
         else:
@@ -592,22 +560,6 @@ def _cmd_perf(args) -> int:
             print(json.dumps(diff.to_dict(), indent=2, sort_keys=True))
         else:
             print(diff.render_text())
-        return 0
-
-    if args.perf_command == "trend":
-        from datetime import datetime, timezone
-
-        from .obs import write_dashboard
-
-        try:
-            out = write_dashboard(
-                args.meta, args.out, tolerance=args.tolerance,
-                generated=datetime.now(timezone.utc).isoformat(
-                    timespec="seconds"))
-        except ValueError as exc:
-            print(f"perf trend: {exc}", file=sys.stderr)
-            return 2
-        print(f"trend dashboard written to {out}", file=sys.stderr)
         return 0
 
     if args.perf_command == "whatif":

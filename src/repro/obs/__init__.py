@@ -24,19 +24,9 @@ from .report import (
     Observatory,
     PerfReport,
     Regression,
-    append_bench_history,
     collect_perf,
     compare_perf,
     extract_comparable,
-)
-from .trend import (
-    TREND_SCHEMA,
-    TrendPoint,
-    TrendSeries,
-    load_bench_meta,
-    render_dashboard,
-    trend_series,
-    write_dashboard,
 )
 from .whatif import (
     DEFAULT_TOLERANCE,
@@ -86,14 +76,10 @@ __all__ = [
     "Regression",
     "ResourceUsage",
     "SchemaMismatch",
-    "TREND_SCHEMA",
-    "TrendPoint",
-    "TrendSeries",
     "WhatIfModel",
     "WhatIfPrediction",
     "WhatIfValidation",
     "advise_odf",
-    "append_bench_history",
     "apply_to_machine",
     "collect_perf",
     "collect_segments",
@@ -105,17 +91,13 @@ __all__ = [
     "extract_comparable",
     "gpu_compute_spans",
     "iteration_boundaries",
-    "load_bench_meta",
     "odf_sweep",
     "per_iteration_phases",
     "phase_breakdown",
     "phase_intervals",
     "record_run",
-    "render_dashboard",
     "resolve_targets",
     "resource_usage",
     "size_bucket",
-    "trend_series",
     "validate_intervention",
-    "write_dashboard",
 ]

@@ -60,7 +60,7 @@ def ensure_diffable(doc: dict, label: str = "report") -> dict:
     if schema != "repro.perf/1":
         raise SchemaMismatch(
             f"{label}: schema {schema!r} is not diffable (expected "
-            f"'repro.perf/1'; bench_meta trajectories have no critical path)")
+            f"'repro.perf/1', a perf report with a critical path)")
     if "makespan" not in doc:
         raise SchemaMismatch(f"{label}: missing 'makespan'")
     if not isinstance(doc.get("critical_path"), dict) or \

@@ -10,9 +10,9 @@ vocabulary), the critical path, overlap, and the counter catalogue.
 Reports serialize to JSON (``save``/``load``), render as text or a
 self-contained HTML page, and feed the perf-regression gate:
 :func:`compare_perf` flags any time-like metric that got slower than
-``baseline * (1 + tolerance)``.  The gate understands both perf-report
-JSON (simulated, deterministic — the strict CI gate) and
-``results/bench_meta.json`` trajectories (wall-clock — the loose gate).
+``baseline * (1 + tolerance)`` or that the current report lacks.  Its
+inputs are simulated, deterministic metrics, so CI runs it at zero
+tolerance.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "PerfReport",
     "Comparison",
     "Regression",
-    "append_bench_history",
     "collect_perf",
     "compare_perf",
     "extract_comparable",
@@ -328,7 +327,7 @@ class Regression:
 
 #: ``repro perf compare --format json`` schema identifier (pinned in tests;
 #: bump the suffix on any breaking change to :meth:`Comparison.to_dict`).
-COMPARE_SCHEMA = "repro.perf-compare/1"
+COMPARE_SCHEMA = "repro.perf-compare/2"
 
 
 @dataclass
@@ -339,23 +338,23 @@ class Comparison:
     regressions: list[Regression] = field(default_factory=list)
     improvements: list[Regression] = field(default_factory=list)
     unchanged: int = 0
-    #: Per-metric tolerance overrides that were in effect (metric → frac).
-    overrides: dict = field(default_factory=dict)
+    #: Baseline metrics the current document lacks; each one fails the gate.
+    missing: list[str] = field(default_factory=list)
     #: Critical-path blame line from the differential (set when both inputs
     #: are full perf reports and the gate tripped) — explains *why*.
     blame: Optional[str] = None
 
     @property
     def ok(self) -> bool:
-        return not self.regressions
+        return not (self.regressions or self.missing)
 
     def render_text(self) -> str:
         lines = [f"perf compare (tolerance {self.tolerance * 100:.1f}%): "
-                 f"{len(self.regressions)} regression(s), "
+                 f"{len(self.regressions)} regression(s), {len(self.missing)} missing, "
                  f"{len(self.improvements)} improvement(s), "
                  f"{self.unchanged} within tolerance"]
-        for metric, tol in sorted(self.overrides.items()):
-            lines.append(f"  (tolerance override: {metric} at {tol * 100:.1f}%)")
+        for metric in self.missing:
+            lines.append(f"  MISSING    {metric}: in the baseline, not in the current file")
         for reg in self.regressions:
             lines.append(f"  REGRESSION {reg}")
         for imp in self.improvements:
@@ -377,7 +376,7 @@ class Comparison:
             "schema": COMPARE_SCHEMA,
             "ok": self.ok,
             "tolerance": self.tolerance,
-            "overrides": dict(sorted(self.overrides.items())),
+            "missing": list(self.missing),
             "regressions": rows(self.regressions),
             "improvements": rows(self.improvements),
             "unchanged": self.unchanged,
@@ -386,108 +385,34 @@ class Comparison:
 
 
 def extract_comparable(doc: dict) -> dict[str, float]:
-    """Time-like (lower-is-better) scalars from a perf-gate input file.
-
-    Understands two shapes:
-
-    * a :class:`PerfReport` JSON (``schema: repro.perf/1`` or any dict with
-      ``time_per_iteration``) — simulated, deterministic metrics;
-    * a ``bench_meta.json`` trajectory — per-figure wall-clock, where each
-      figure's newest history entry supplies ``<figure>.wall_s``, plus the
-      engine microbenchmark's per-mix cost as
-      ``<key>.us_per_event.<mix>`` (also lower-is-better, so an event-loop
-      slowdown trips the same gate as a figure slowdown).
-    """
-    if "time_per_iteration" in doc:
-        out = {"time_per_iteration": float(doc["time_per_iteration"])}
-        if "makespan" in doc:
-            out["makespan"] = float(doc["makespan"])
-        return out
-    out = {}
-    for key, slot in doc.items():
-        if not isinstance(slot, dict):
-            continue
-        entry = slot
-        if "latest" in slot and isinstance(slot["latest"], dict):
-            entry = slot["latest"]
-        elif "history" in slot and slot["history"]:
-            entry = slot["history"][-1]
-        wall = entry.get("wall_s")
-        if isinstance(wall, (int, float)):
-            out[f"{key}.wall_s"] = float(wall)
-        upe = entry.get("us_per_event")
-        if isinstance(upe, dict):
-            for mix, cost in upe.items():
-                if isinstance(cost, (int, float)):
-                    out[f"{key}.us_per_event.{mix}"] = float(cost)
+    """Time-like (lower-is-better) scalars from a :class:`PerfReport` JSON
+    (``schema: repro.perf/1`` or any dict with ``time_per_iteration``);
+    any other document has none."""
+    if "time_per_iteration" not in doc:
+        return {}
+    out = {"time_per_iteration": float(doc["time_per_iteration"])}
+    if "makespan" in doc:
+        out["makespan"] = float(doc["makespan"])
     return out
 
 
-def compare_perf(baseline: dict, current: dict, tolerance: float = 0.05,
-                 overrides: Optional[dict] = None) -> Comparison:
-    """Compare two perf-gate documents; a metric regresses when
-    ``current > baseline * (1 + tol)`` (and improves symmetrically), where
-    ``tol`` is the metric's entry in ``overrides`` when present, else
-    ``tolerance``.  Only metrics present in *both* documents are compared.
-    Overrides for metrics absent from the inputs are allowed (baselines
-    vary across apps) but still validated to be >= 0."""
+def compare_perf(baseline: dict, current: dict, tolerance: float = 0.05) -> Comparison:
+    """Compare two perf reports; a metric regresses when ``current >
+    baseline * (1 + tolerance)`` (and improves symmetrically).  A baseline
+    metric that ``current`` lacks fails the gate as missing; a metric only
+    ``current`` has is not compared."""
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
-    overrides = {str(k): float(v) for k, v in (overrides or {}).items()}
-    for metric, tol in overrides.items():
-        if tol < 0:
-            raise ValueError(f"tolerance override for {metric} must be >= 0")
     base = extract_comparable(baseline)
     curr = extract_comparable(current)
-    comparison = Comparison(tolerance=tolerance, overrides=overrides)
+    comparison = Comparison(tolerance=tolerance,
+                            missing=sorted(set(base) - set(curr)))
     for metric in sorted(set(base) & set(curr)):
         b, c = base[metric], curr[metric]
-        tol = overrides.get(metric, tolerance)
-        if c > b * (1.0 + tol) and c - b > 1e-12:
+        if c > b * (1.0 + tolerance) and c - b > 1e-12:
             comparison.regressions.append(Regression(metric, b, c))
-        elif c < b * (1.0 - tol):
+        elif c < b * (1.0 - tolerance):
             comparison.improvements.append(Regression(metric, b, c))
         else:
             comparison.unchanged += 1
     return comparison
-
-
-# ---------------------------------------------------------------------------
-# Bench-meta trajectories
-# ---------------------------------------------------------------------------
-
-
-def append_bench_history(path, key: str, entry: dict, now=None, limit: int = 200) -> dict:
-    """Append one timestamped entry to ``key``'s history in a
-    ``bench_meta.json`` file (creating or migrating as needed) and return
-    the updated document.
-
-    Each slot holds ``{"latest": entry, "history": [oldest..newest]}`` so
-    the file records a *trajectory* instead of only the last run; legacy
-    flat entries become the first history item.  ``now`` (a datetime or
-    ISO string) is stamped as ``entry["at"]`` when given — injected by the
-    caller so this module stays clock-free.
-    """
-    path = Path(path)
-    try:
-        meta = json.loads(path.read_text())
-        if not isinstance(meta, dict):
-            meta = {}
-    except (OSError, ValueError):
-        meta = {}
-    slot = meta.get(key)
-    if isinstance(slot, dict) and isinstance(slot.get("history"), list):
-        history = slot["history"]
-    elif isinstance(slot, dict):
-        history = [slot]  # legacy flat entry: keep it as the oldest point
-    else:
-        history = []
-    entry = dict(entry)
-    if now is not None:
-        entry["at"] = now if isinstance(now, str) else now.isoformat(timespec="seconds")
-    history.append(entry)
-    history = history[-limit:]
-    meta[key] = {"latest": entry, "history": history}
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(meta, indent=2, sort_keys=True))
-    return meta

@@ -445,7 +445,7 @@ class Engine:
         #: is attached, else the one subscriber or a fan-out over several.
         self.probe = None
         #: Events processed over the engine's lifetime (plain int: the
-        #: events/sec numerator for ``benchmarks/bench_engine.py``).
+        #: ``sim.events`` count of ``hostbench/``).
         self.events_executed = 0
         #: Free-list of recycled :class:`_PooledEvent` objects (see
         #: :meth:`pause`); the run loop returns fired pooled events here.

@@ -314,7 +314,7 @@ def test_perf_profile_sort_and_pstats_dump(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# Observability CLI: compare --format json / overrides, diff, trend, whatif
+# Observability CLI: compare --format json, diff, whatif
 # ---------------------------------------------------------------------------
 
 
@@ -343,12 +343,24 @@ def test_perf_compare_json_schema_is_pinned(perf_baseline, capsys):
                "--format", "json"])
     doc = json.loads(capsys.readouterr().out)
     assert rc == 0
-    # The v1 machine-readable contract: exactly these keys.
-    assert set(doc) == {"schema", "ok", "tolerance", "overrides",
+    # The v2 machine-readable contract: exactly these keys.
+    assert set(doc) == {"schema", "ok", "tolerance", "missing",
                         "regressions", "improvements", "unchanged", "blame"}
-    assert doc["schema"] == "repro.perf-compare/1"
+    assert doc["schema"] == "repro.perf-compare/2"
+    assert doc["missing"] == []
     assert doc["ok"] is True and doc["blame"] is None
     assert doc["unchanged"] == 2  # time_per_iteration + makespan
+
+
+def test_perf_compare_fails_when_current_lacks_a_metric(
+        perf_baseline, tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    rc = main(["perf", "compare", str(perf_baseline), str(empty),
+               "--tolerance", "0.0"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "MISSING    makespan" in out and "MISSING    time_per_iteration" in out
 
 
 def test_perf_compare_gate_trip_carries_a_blame_line(
@@ -370,32 +382,6 @@ def test_perf_compare_gate_trip_carries_a_blame_line(
     rc = main(["perf", "compare", str(perf_baseline), str(slower)])
     out = capsys.readouterr().out
     assert rc == 1 and "blame:" in out
-
-
-def test_perf_compare_per_metric_tolerance_overrides(
-        perf_baseline, tmp_path, capsys):
-    slower = _slowed_copy(perf_baseline, tmp_path / "slower.json")
-    rc = main(["perf", "compare", str(perf_baseline), str(slower),
-               "--tolerance-for", "time_per_iteration=0.2",
-               "--tolerance-for", "makespan=0.2"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "tolerance override" in out
-    # Overrides for metrics absent from these inputs are allowed.
-    assert main(["perf", "compare", str(perf_baseline), str(slower),
-                 "--tolerance-for", "time_per_iteration=0.2",
-                 "--tolerance-for", "makespan=0.2",
-                 "--tolerance-for", "fig6a.wall_s=0.5"]) == 0
-    capsys.readouterr()
-
-
-def test_perf_compare_bad_override_spec_exits_two(perf_baseline, capsys):
-    for bad in ("time_per_iteration", "=0.2", "makespan=-0.1", "makespan=x"):
-        rc = main(["perf", "compare", str(perf_baseline), str(perf_baseline),
-                   "--tolerance-for", bad])
-        captured = capsys.readouterr()
-        assert rc == 2, bad
-        assert "--tolerance-for" in captured.err
 
 
 def test_perf_diff_text_and_json(perf_baseline, tmp_path, capsys):
@@ -427,27 +413,6 @@ def test_perf_diff_incomparable_exits_two(perf_baseline, tmp_path, capsys):
     assert "pre-app report shape" in captured.err
 
     rc = main(["perf", "diff", str(perf_baseline), "/nonexistent.json"])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert "cannot read" in captured.err
-
-
-def test_perf_trend_writes_the_dashboard(tmp_path, capsys):
-    meta = tmp_path / "bench_meta.json"
-    meta.write_text(json.dumps({"fig": {
-        "latest": {"at": "2026-08-08T00:00:00+00:00", "wall_s": 0.2},
-        "history": [{"at": "2026-08-08T00:00:00+00:00", "wall_s": 0.2}]}}))
-    out = tmp_path / "trend.html"
-    rc = main(["perf", "trend", "--meta", str(meta), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert rc == 0
-    assert str(out) in captured.err
-    assert "repro.trend/1" in out.read_text()
-
-
-def test_perf_trend_missing_meta_exits_two(tmp_path, capsys):
-    rc = main(["perf", "trend", "--meta", str(tmp_path / "absent.json"),
-               "--out", str(tmp_path / "trend.html")])
     captured = capsys.readouterr()
     assert rc == 2
     assert "cannot read" in captured.err

@@ -98,10 +98,12 @@ def test_render_text_sections(pair):
 
 
 def test_bench_meta_documents_are_rejected(pair):
+    """Any JSON object that is not a perf report (here a wall-clock
+    history) has no critical path to diff."""
     baseline, _ = pair
-    trajectory = {"engine": {"latest": {"wall_s": 0.25}, "history": []}}
+    not_a_report = {"engine": {"latest": {"wall_s": 0.25}, "history": []}}
     with pytest.raises(SchemaMismatch, match="not diffable"):
-        diff_reports(trajectory, baseline)
+        diff_reports(not_a_report, baseline)
 
 
 def test_pre_app_report_shape_is_rejected(pair):

@@ -1,5 +1,5 @@
-"""Perf reports and the regression gate: collection, serialization,
-comparison semantics, and the bench_meta history helper."""
+"""Perf reports and the regression gate: collection, serialization and
+comparison semantics."""
 
 import json
 
@@ -9,10 +9,8 @@ from repro.apps import Jacobi3DConfig, run_app
 from repro.obs import (
     Observatory,
     PerfReport,
-    append_bench_history,
     collect_perf,
     compare_perf,
-    extract_comparable,
 )
 
 CONFIG = Jacobi3DConfig(version="charm-d", nodes=2, grid=(96, 96, 96),
@@ -148,22 +146,21 @@ def test_only_shared_metrics_compared():
     assert comparison.unchanged == 1  # makespan absent from baseline: skipped
 
 
+def test_metric_missing_from_current_fails_the_gate():
+    # An empty file, a report short of one metric, and a non-report document.
+    for current in ({}, {"time_per_iteration": 1.0},
+                    {"engine": {"latest": {"wall_s": 0.25}}}):
+        comparison = compare_perf(_doc(), current, tolerance=0.0)
+        assert not comparison.ok
+        assert comparison.regressions == []
+        assert "makespan" in comparison.missing
+        assert "MISSING    makespan" in comparison.render_text()
+        assert comparison.to_dict()["missing"] == comparison.missing
+
+
 def test_negative_tolerance_rejected():
     with pytest.raises(ValueError):
         compare_perf(_doc(), _doc(), tolerance=-0.1)
-
-
-def test_extract_comparable_bench_meta_formats():
-    doc = {
-        "fig6": {"latest": {"wall_s": 2.5}, "history": [{"wall_s": 3.0},
-                                                        {"wall_s": 2.5}]},
-        "fig7a": {"history": [{"wall_s": 4.0}]},  # no latest: newest entry
-        "fig8": {"wall_s": 1.0},                  # legacy flat entry
-        "schema": "not-a-figure",
-        "lint": {"latest": {"files": 120}},       # no wall_s: skipped
-    }
-    assert extract_comparable(doc) == {
-        "fig6.wall_s": 2.5, "fig7a.wall_s": 4.0, "fig8.wall_s": 1.0}
 
 
 def test_gate_on_real_report_is_deterministic(perf):
@@ -172,47 +169,3 @@ def test_gate_on_real_report_is_deterministic(perf):
     comparison = compare_perf(report.to_dict(), again.to_dict(), tolerance=0.0)
     assert comparison.ok  # simulated metrics: bit-identical across runs
 
-
-# ---------------------------------------------------------------------------
-# append_bench_history (the conftest satellite's engine)
-# ---------------------------------------------------------------------------
-
-
-def test_history_appends_instead_of_overwriting(tmp_path):
-    path = tmp_path / "bench_meta.json"
-    append_bench_history(path, "fig6", {"wall_s": 1.0}, now="2026-08-06T00:00:00")
-    meta = append_bench_history(path, "fig6", {"wall_s": 2.0},
-                                now="2026-08-07T00:00:00")
-    slot = meta["fig6"]
-    assert [e["wall_s"] for e in slot["history"]] == [1.0, 2.0]
-    assert slot["latest"]["wall_s"] == 2.0
-    assert slot["latest"]["at"] == "2026-08-07T00:00:00"
-    assert json.loads(path.read_text()) == meta
-
-
-def test_history_migrates_legacy_flat_entry(tmp_path):
-    path = tmp_path / "bench_meta.json"
-    path.write_text(json.dumps({"fig6": {"wall_s": 9.0, "points": 4}}))
-    meta = append_bench_history(path, "fig6", {"wall_s": 1.0})
-    assert [e["wall_s"] for e in meta["fig6"]["history"]] == [9.0, 1.0]
-
-
-def test_history_is_capped(tmp_path):
-    path = tmp_path / "bench_meta.json"
-    for i in range(7):
-        meta = append_bench_history(path, "fig6", {"wall_s": float(i)}, limit=3)
-    assert [e["wall_s"] for e in meta["fig6"]["history"]] == [4.0, 5.0, 6.0]
-
-
-def test_history_other_keys_untouched(tmp_path):
-    path = tmp_path / "bench_meta.json"
-    append_bench_history(path, "fig6", {"wall_s": 1.0})
-    meta = append_bench_history(path, "lint", {"wall_s": 0.5})
-    assert meta["fig6"]["latest"]["wall_s"] == 1.0
-
-
-def test_history_recovers_from_corrupt_file(tmp_path):
-    path = tmp_path / "bench_meta.json"
-    path.write_text("{not json")
-    meta = append_bench_history(path, "fig6", {"wall_s": 1.0})
-    assert meta["fig6"]["latest"]["wall_s"] == 1.0
