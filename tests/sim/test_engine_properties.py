@@ -45,7 +45,7 @@ def test_property_resource_conserves_capacity(jobs, capacity):
         eng.process(user(arrival, hold))
     eng.run()
     assert res.in_use == 0
-    assert res.queue_length == 0
+    assert not res._waiters
     assert 1 <= max_in_use[0] <= capacity
 
 

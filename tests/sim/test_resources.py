@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Engine, FilterStore, PriorityStore, Resource, SimulationError, Store, TokenPool
+from repro.sim import Engine, PriorityStore, Resource, SimulationError, Store, TokenPool
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +36,7 @@ def test_store_get_blocks_until_put():
 
     def producer():
         yield eng.timeout(5.0)
-        yield store.put("late")
+        store.put("late")
 
     eng.process(consumer())
     eng.process(producer())
@@ -82,42 +82,6 @@ def test_store_getters_served_in_arrival_order():
     assert got == [("first", "a"), ("second", "b")]
 
 
-def test_store_capacity_blocks_putter():
-    eng = Engine()
-    store = Store(eng, capacity=1)
-    times = []
-
-    def producer():
-        yield store.put("x")
-        times.append(("x", eng.now))
-        yield store.put("y")
-        times.append(("y", eng.now))
-
-    def consumer():
-        yield eng.timeout(3.0)
-        yield store.get()
-
-    eng.process(producer())
-    eng.process(consumer())
-    eng.run()
-    assert times == [("x", 0.0), ("y", 3.0)]
-
-
-def test_store_capacity_must_be_positive():
-    with pytest.raises(ValueError):
-        Store(Engine(), capacity=0)
-
-
-def test_store_try_get():
-    eng = Engine()
-    store = Store(eng)
-    assert store.try_get() is None
-    store.put(9)
-    eng.run()
-    assert store.try_get() == 9
-    assert store.try_get() is None
-
-
 def test_store_none_item_roundtrip():
     eng = Engine()
     store = Store(eng)
@@ -138,85 +102,6 @@ def test_store_len():
     store.put(1)
     store.put(2)
     assert len(store) == 2
-
-
-# ---------------------------------------------------------------------------
-# FilterStore
-# ---------------------------------------------------------------------------
-
-
-def test_filter_store_matches_predicate():
-    eng = Engine()
-    store = FilterStore(eng)
-    store.put({"tag": 1})
-    store.put({"tag": 2})
-    got = []
-
-    def consumer():
-        item = yield store.get(lambda m: m["tag"] == 2)
-        got.append(item)
-
-    eng.process(consumer())
-    eng.run()
-    assert got == [{"tag": 2}]
-    assert store.items == [{"tag": 1}]
-
-
-def test_filter_store_nonmatching_getter_does_not_block_others():
-    eng = Engine()
-    store = FilterStore(eng)
-    got = []
-
-    def want(tag, label):
-        item = yield store.get(lambda m: m == tag)
-        got.append((label, eng.now, item))
-
-    eng.process(want("never", "blocked"))
-    eng.process(want("b", "lucky"))
-
-    def producer():
-        yield eng.timeout(1.0)
-        store.put("b")
-
-    eng.process(producer())
-    eng.run()
-    assert got == [("lucky", 1.0, "b")]
-
-
-def test_filter_store_unfiltered_get():
-    eng = Engine()
-    store = FilterStore(eng)
-    store.put("only")
-    got = []
-
-    def consumer():
-        got.append((yield store.get()))
-
-    eng.process(consumer())
-    eng.run()
-    assert got == ["only"]
-
-
-def test_filter_store_waiting_getter_wakes_on_put():
-    eng = Engine()
-    store = FilterStore(eng)
-    got = []
-
-    def consumer():
-        item = yield store.get(lambda m: m % 2 == 0)
-        got.append((eng.now, item))
-
-    eng.process(consumer())
-
-    def producer():
-        yield eng.timeout(1.0)
-        store.put(3)
-        yield eng.timeout(1.0)
-        store.put(4)
-
-    eng.process(producer())
-    eng.run()
-    assert got == [(2.0, 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +142,6 @@ def test_priority_store_fifo_among_equal():
     assert got == ["a", "b", "c"]
 
 
-def test_priority_store_peek_priority():
-    eng = Engine()
-    store = PriorityStore(eng, priority=lambda item: item)
-    with pytest.raises(SimulationError):
-        store.peek_priority()
-    store.put(7)
-    store.put(2)
-    assert store.peek_priority() == 2
-
-
 # ---------------------------------------------------------------------------
 # Resource
 # ---------------------------------------------------------------------------
@@ -278,7 +153,7 @@ def test_resource_grants_up_to_capacity():
     r1, r2, r3 = res.request(), res.request(), res.request()
     eng.run()
     assert r1.processed and r2.processed and not r3.triggered
-    assert res.available == 0 and res.queue_length == 1
+    assert res.in_use == 2 and len(res._waiters) == 1
 
 
 def test_resource_release_grants_waiter():
@@ -355,28 +230,6 @@ def test_resource_release_unheld_raises():
     res.release(granted)
     with pytest.raises(SimulationError):
         res.release(granted)
-
-
-def test_resource_cancel_pending_request():
-    eng = Engine()
-    res = Resource(eng, capacity=1)
-    held = res.request()
-    pending = res.request()
-    eng.run()
-    res.cancel(pending)
-    res.release(held)
-    eng.run()
-    assert not pending.triggered
-    assert res.available == 1
-
-
-def test_resource_cancel_granted_raises():
-    eng = Engine()
-    res = Resource(eng, capacity=1)
-    held = res.request()
-    eng.run()
-    with pytest.raises(SimulationError):
-        res.cancel(held)
 
 
 # ---------------------------------------------------------------------------
