@@ -44,7 +44,7 @@ from typing import Optional
 from ..hardware import Cluster, GpuDevice, Message
 from ..hardware.gpu import COPY_D2D, COPY_D2H, COPY_H2D, CopyWork
 from ..hardware.specs import UcxSpec
-from ..sim import Engine, Event, TokenPool
+from ..sim import Driver, Engine, Event, Latch, TokenPool
 from .protocols import Protocol, select_protocol
 
 __all__ = ["TransferHandle", "UcxContext", "PRIORITY_COMM", "PRIORITY_COMPUTE"]
@@ -143,7 +143,8 @@ class UcxContext:
         if probe is not None:
             probe.on_ucx_post(handle)
         self._match(handle)
-        self.engine.spawn(self._send_proc(handle, priority), name="ucx.send")
+        driver = _SEND_DRIVERS.get(handle.protocol, _RendezvousSend)(self, handle, priority)
+        self.engine.after(0.0, driver._start)
         return handle
 
     def irecv(
@@ -197,123 +198,13 @@ class UcxContext:
         else:
             mine.setdefault(key, deque()).append(handle)
 
-    # -- protocol drivers ----------------------------------------------------------
+    # -- protocol state ------------------------------------------------------------
     def _device_state(self, pe: int) -> _DeviceCommState:
         state = self._devices.get(pe)
         if state is None:
             state = _DeviceCommState(self.engine, self.cluster.gpu(pe), self.spec)
             self._devices[pe] = state
         return state
-
-    def _send_proc(self, send: TransferHandle, priority: float):
-        if send.protocol is Protocol.EAGER:
-            yield from self._run_eager(send, priority)
-        elif send.protocol is Protocol.RNDV_PIPELINED:
-            yield from self._run_pipelined(send, priority)
-        else:
-            yield from self._run_rendezvous(send, priority)
-
-    def _run_eager(self, send: TransferHandle, priority: float):
-        eng = self.engine
-        spec = self.spec
-        if send.on_device:
-            # Tiny staging copy into the pre-registered bounce buffer.
-            op = self._device_state(send.src_pe).d2h.enqueue(
-                CopyWork(send.size, COPY_D2H), name="ucx.eager_d2h"
-            )
-            yield op.done
-        yield spec.eager_overhead_s
-        send.done.succeed()  # source buffer reusable: data is buffered
-        delivery = self.net.transfer(
-            Message(send.src_pe, send.dst_pe, send.size, tag=send.tag, priority=priority)
-        )
-        yield eng.all_of([delivery, send.matched])
-        recv = send.peer
-        assert recv is not None
-        yield spec.eager_overhead_s  # receive-side copy-out
-        if recv.on_device:
-            op = self._device_state(recv.dst_pe).h2d.enqueue(
-                CopyWork(recv.size, COPY_H2D), name="ucx.eager_h2d"
-            )
-            yield op.done
-        recv.done.succeed(send.payload)
-
-    def _run_rendezvous(self, send: TransferHandle, priority: float):
-        eng = self.engine
-        spec = self.spec
-        yield send.matched
-        recv = send.peer
-        assert recv is not None
-        yield self.cluster.spec.node.nic.rendezvous_rtt_s
-        if send.protocol is Protocol.RNDV_GPUDIRECT:
-            yield spec.gpudirect_reg_overhead_s
-        if send.protocol is Protocol.DEVICE_IPC and send.src_pe == send.dst_pe:
-            # Same GPU: a device-to-device copy on its comm stream, no transport.
-            stream = self._device_state(send.src_pe).d2h
-            op = stream.enqueue(CopyWork(send.size, COPY_D2D), name="ucx.ipc_d2d")
-            yield op.done
-        else:
-            delivery = self.net.transfer(
-                Message(send.src_pe, send.dst_pe, send.size, tag=send.tag, priority=priority)
-            )
-            yield delivery
-        send.done.succeed()
-        recv.done.succeed(send.payload)
-
-    def _run_pipelined(self, send: TransferHandle, priority: float):
-        """Chunked host staging: D2H -> wire -> H2D per chunk, serial within a
-        message (chunk synchronization), overlapping freely across messages."""
-        eng = self.engine
-        spec = self.spec
-        yield send.matched
-        recv = send.peer
-        assert recv is not None
-        yield self.cluster.spec.node.nic.rendezvous_rtt_s
-        src_state = self._device_state(send.src_pe) if send.on_device else None
-        dst_state = self._device_state(recv.dst_pe) if recv.on_device else None
-        same_node = self.net.node_of_pe(send.src_pe) == self.net.node_of_pe(send.dst_pe)
-        chunk = min(spec.pipeline_chunk_bytes, spec.staging_pool_bytes)
-        n_chunks = max(1, math.ceil(send.size / chunk))
-        unstage_events: list[Event] = []
-        remaining = send.size
-        probe = eng.probe
-        if probe is not None:
-            probe.on_ucx_pipeline(send, n_chunks)
-        if src_state is not None:
-            src_state.active_pipelines += 1
-        try:
-            for _ in range(n_chunks):
-                csize = min(chunk, remaining)
-                remaining -= csize
-                if src_state is not None:
-                    grant = src_state.pool.acquire(csize)
-                    yield grant
-                    stage = src_state.d2h.enqueue(CopyWork(csize, COPY_D2H), name="ucx.stage")
-                    yield stage.done
-                yield spec.per_chunk_overhead_s
-                delivery = self.net.transfer(
-                    Message(
-                        send.src_pe,
-                        send.dst_pe,
-                        csize,
-                        tag=send.tag,
-                        priority=priority,
-                        wire_time_scale=1.0 / self._pipeline_efficiency(src_state, same_node),
-                    )
-                )
-                yield delivery
-                if src_state is not None:
-                    src_state.pool.release(csize)
-                if dst_state is not None:
-                    unstage = dst_state.h2d.enqueue(CopyWork(csize, COPY_H2D), name="ucx.unstage")
-                    unstage_events.append(unstage.done)
-        finally:
-            if src_state is not None:
-                src_state.active_pipelines -= 1
-        send.done.succeed()
-        if unstage_events:
-            yield eng.all_of(unstage_events)
-        recv.done.succeed(send.payload)
 
     def _pipeline_efficiency(self, src_state: Optional[_DeviceCommState], same_node: bool) -> float:
         """Achieved fraction of port bandwidth for one pipelined chunk.
@@ -336,3 +227,192 @@ class UcxContext:
         sends = sum(len(q) for q in self._pending_sends.values())
         recvs = sum(len(q) for q in self._pending_recvs.values())
         return sends, recvs
+
+
+class _Send(Driver):
+    """The driver of one :meth:`UcxContext.isend`; one subclass per protocol
+    family.  Each holds its send handle, and the matched receive once
+    known, until the receive completes."""
+
+    __slots__ = ("ucx", "send", "priority", "recv")
+
+    component = "ucx.send"
+
+    def __init__(self, ucx: UcxContext, send: TransferHandle, priority: float):
+        self.ucx = ucx
+        self.send = send
+        self.priority = priority
+
+    def _message(self, size: int, wire_time_scale: float = 1.0) -> Message:
+        send = self.send
+        return Message(send.src_pe, send.dst_pe, size, tag=send.tag,
+                       priority=self.priority, wire_time_scale=wire_time_scale)
+
+    def _finish(self, ev) -> None:
+        """The payload is in place at the receiver (``ev`` is a latch's
+        event, or ``None`` when nothing was joined)."""
+        if ev is not None and not ev.ok:
+            raise ev.value
+        self.recv.done.succeed(self.send.payload)
+
+
+class _EagerSend(_Send):
+    """Eager: stage (device buffers) into the bounce buffer and complete
+    the send; the wire transfer, the match and the receive-side copy-out
+    follow asynchronously."""
+
+    __slots__ = ()
+
+    def _start(self, _ev) -> None:
+        send = self.send
+        if send.on_device:
+            # Tiny staging copy into the pre-registered bounce buffer.
+            op = self.ucx._device_state(send.src_pe).d2h.enqueue(
+                CopyWork(send.size, COPY_D2H), name="ucx.eager_d2h")
+            op.done.add_callback(self._staged)
+        else:
+            self._staged(None)
+
+    def _staged(self, _ev) -> None:
+        self.ucx.engine.after(self.ucx.spec.eager_overhead_s, self._buffered)
+
+    def _buffered(self, _ev) -> None:
+        send = self.send
+        send.done.succeed()  # source buffer reusable: data is buffered
+        delivery = self.ucx.net.transfer(self._message(send.size))
+        Latch(self.ucx.engine, [delivery, send.matched], self._arrived)
+
+    def _arrived(self, ev) -> None:
+        if not ev.ok:
+            raise ev.value
+        recv = self.recv = self.send.peer
+        assert recv is not None
+        self.ucx.engine.after(self.ucx.spec.eager_overhead_s, self._copied_out)  # receive-side copy-out
+
+    def _copied_out(self, _ev) -> None:
+        recv = self.recv
+        if recv.on_device:
+            op = self.ucx._device_state(recv.dst_pe).h2d.enqueue(
+                CopyWork(recv.size, COPY_H2D), name="ucx.eager_h2d")
+            op.done.add_callback(self._finish)
+        else:
+            self._finish(None)
+
+
+class _RendezvousSend(_Send):
+    """Rendezvous over host memory, GPUDirect (plus memory registration)
+    or device IPC (a same-GPU pair is one device-to-device copy)."""
+
+    __slots__ = ()
+
+    def _start(self, _ev) -> None:
+        self.send.matched.add_callback(self._matched)
+
+    def _matched(self, _ev) -> None:
+        """The match is in: pay the RTS/CTS round trip."""
+        recv = self.recv = self.send.peer
+        assert recv is not None
+        self.ucx.engine.after(self.ucx.cluster.spec.node.nic.rendezvous_rtt_s, self._handshaken)
+
+    def _handshaken(self, _ev) -> None:
+        if self.send.protocol is Protocol.RNDV_GPUDIRECT:
+            self.ucx.engine.after(self.ucx.spec.gpudirect_reg_overhead_s, self._stream)
+        else:
+            self._stream(None)
+
+    def _stream(self, _ev) -> None:
+        send = self.send
+        if send.protocol is Protocol.DEVICE_IPC and send.src_pe == send.dst_pe:
+            # Same GPU: a device-to-device copy on its comm stream, no transport.
+            stream = self.ucx._device_state(send.src_pe).d2h
+            done = stream.enqueue(CopyWork(send.size, COPY_D2D), name="ucx.ipc_d2d").done
+        else:
+            done = self.ucx.net.transfer(self._message(send.size))
+        done.add_callback(self._drained)
+
+    def _drained(self, _ev) -> None:
+        self.send.done.succeed()
+        self._finish(None)
+
+
+class _PipelinedSend(_RendezvousSend):
+    """Chunked host staging: D2H -> wire -> H2D per chunk, serial within a
+    message (chunk synchronization), overlapping freely across messages.
+    The source device counts the send in ``active_pipelines`` from the
+    first chunk until the chunk loop ends (or a step raises)."""
+
+    __slots__ = ("src_state", "dst_state", "same_node", "chunk", "chunks_left",
+                 "remaining", "csize", "unstaged", "active")
+
+    def __init__(self, ucx: UcxContext, send: TransferHandle, priority: float):
+        super().__init__(ucx, send, priority)
+        self.active = False
+
+    def _handshaken(self, _ev) -> None:
+        ucx = self.ucx
+        spec = ucx.spec
+        send, recv = self.send, self.recv
+        self.src_state = src_state = ucx._device_state(send.src_pe) if send.on_device else None
+        self.dst_state = ucx._device_state(recv.dst_pe) if recv.on_device else None
+        self.same_node = ucx.net.node_of_pe(send.src_pe) == ucx.net.node_of_pe(send.dst_pe)
+        self.chunk = min(spec.pipeline_chunk_bytes, spec.staging_pool_bytes)
+        self.chunks_left = max(1, math.ceil(send.size / self.chunk))
+        self.unstaged = []
+        self.remaining = send.size
+        probe = ucx.engine.probe
+        if probe is not None:
+            probe.on_ucx_pipeline(send, self.chunks_left)
+        if src_state is not None:
+            self.active = True
+            src_state.active_pipelines += 1
+        self._next_chunk()
+
+    def _next_chunk(self) -> None:
+        if not self.chunks_left:
+            self._leave_pipeline()
+            self.send.done.succeed()
+            if self.unstaged:
+                Latch(self.ucx.engine, self.unstaged, self._finish)
+            else:
+                self._finish(None)
+            return
+        self.chunks_left -= 1
+        csize = self.csize = min(self.chunk, self.remaining)
+        self.remaining -= csize
+        if self.src_state is not None:
+            self.src_state.pool.acquire(csize).add_callback(self._granted)
+        else:
+            self._staged(None)
+
+    def _granted(self, _ev) -> None:
+        stage = self.src_state.d2h.enqueue(CopyWork(self.csize, COPY_D2H), name="ucx.stage")
+        stage.done.add_callback(self._staged)
+
+    def _staged(self, _ev) -> None:
+        self.ucx.engine.after(self.ucx.spec.per_chunk_overhead_s, self._send_chunk)
+
+    def _send_chunk(self, _ev) -> None:
+        efficiency = self.ucx._pipeline_efficiency(self.src_state, self.same_node)
+        delivery = self.ucx.net.transfer(self._message(self.csize, 1.0 / efficiency))
+        delivery.add_callback(self._delivered)
+
+    def _delivered(self, _ev) -> None:
+        csize = self.csize
+        if self.src_state is not None:
+            self.src_state.pool.release(csize)
+        if self.dst_state is not None:
+            unstage = self.dst_state.h2d.enqueue(CopyWork(csize, COPY_H2D), name="ucx.unstage")
+            self.unstaged.append(unstage.done)
+        self._next_chunk()
+
+    def _leave_pipeline(self) -> None:
+        """The chunk loop's ``finally``: runs once, when the loop ends or a
+        step raises."""
+        if self.active:
+            self.active = False
+            self.src_state.active_pipelines -= 1
+
+    _abort = _leave_pipeline
+
+
+_SEND_DRIVERS = {Protocol.EAGER: _EagerSend, Protocol.RNDV_PIPELINED: _PipelinedSend}

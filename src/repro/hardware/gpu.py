@@ -25,10 +25,11 @@ it takes".
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ..sim import Engine, Event, IntervalTracker, Resource, SimulationError, Store
+from ..sim import Driver, Engine, Event, IntervalTracker, Latch, Resource, SimulationError
 from .specs import GpuSpec, HostLinkSpec
 
 __all__ = [
@@ -176,21 +177,81 @@ class CudaEvent:
         self.fired = engine.event(name=name)
 
 
-class CudaStream:
+class _Executor(Driver):
+    """Runs ops on a device's engines one at a time: request the op's
+    engine at ``priority``, hold it for the op's duration, release it and
+    succeed ``op.done``, then call ``_op_done()``, which each subclass
+    defines.  A :class:`CudaStream` and each CUDA-graph node
+    (:mod:`repro.hardware.graphs`) are executors."""
+
+    __slots__ = ("device", "priority", "_op", "_kind", "_req", "_token")
+
+    def _execute(self, op: GpuOp) -> None:
+        self._op = op
+        kind = self._kind = op.work.engine
+        req = self._req = self.device.engines[kind].request(priority=self.priority)
+        req.add_callback(self._granted)
+
+    def _granted(self, _req) -> None:
+        device = self.device
+        op = self._op
+        kind = self._kind
+        if op.in_graph_overhead is not None:
+            overhead = op.in_graph_overhead
+        else:
+            overhead = op.work.device_overhead(device.spec)
+        duration = overhead + op.work.duration(device.spec, device.link)
+        if device._has_scaling:
+            duration *= device._duration_scale(kind, op.name)
+        self._token = device.trackers[kind].begin()
+        probe = device.engine.probe
+        if probe is not None:
+            probe.on_op_start(device, op, kind, duration)
+        device.engine.after(duration, self._finished)
+
+    def _finished(self, _ev) -> None:
+        device = self.device
+        op = self._op
+        device.trackers[self._kind].end(self._token)
+        device.engines[self._kind].release(self._req)
+        probe = device.engine.probe
+        if probe is not None:
+            probe.on_op_done(op)
+        self._op = self._req = None
+        op.done.succeed()
+        self._op_done()
+
+
+class CudaStream(_Executor):
     """A FIFO of GPU operations with a scheduling priority.
 
     Lower ``priority`` values are more urgent (matches
     ``cudaStreamCreateWithPriority`` where -1 is higher priority than 0; we
     simply use the raw number for engine arbitration).
+
+    The stream is its own executor: ops, recorded CUDA events and wait
+    markers queue in ``queued`` and are taken one per event, in order; an
+    op waits for its CUDA-event dependencies (a :class:`~repro.sim.Latch`)
+    and then runs on the device.
     """
+
+    __slots__ = ("name", "ops_issued", "queued", "_idle", "_waits", "_deps")
 
     def __init__(self, device: "GpuDevice", priority: int = 0, name: str = ""):
         self.device = device
         self.priority = priority
         self.name = name or f"{device.name}.stream"
-        self._queue: Store = Store(device.engine, name=f"{self.name}.q")
-        self._proc = device.engine.process(self._run(), name=f"{self.name}.proc")
         self.ops_issued = 0
+        #: Items put but not yet taken by the executor.
+        self.queued: deque = deque()
+        self._idle = False  # True while the executor waits for an item
+        self._waits: list[Event] = []  # wait markers taken since the last op
+        self._deps = ()
+        device.engine.after(0.0, self._next)
+
+    @property
+    def component(self) -> str:
+        return f"{self.name}.proc"
 
     # -- public API ----------------------------------------------------------
     def enqueue(self, work: WorkModel, name: str = "", wait_events=None,
@@ -201,20 +262,20 @@ class CudaStream:
         probe = self.device.engine.probe
         if probe is not None:
             probe.on_op_enqueue(self, op)
-        self._queue.put(op)
+        self._put(op)
         self.ops_issued += 1
         return op
 
     def record_event(self, name: str = "") -> CudaEvent:
         """Record a CUDA event at the current tail of the stream."""
         ev = CudaEvent(self.device.engine, name=name or f"{self.name}.event")
-        self._queue.put(ev)
+        self._put(ev)
         return ev
 
     def wait_event(self, event: CudaEvent) -> None:
         """Make all subsequently-enqueued ops wait for ``event``
         (``cudaStreamWaitEvent``)."""
-        self._queue.put(_WaitMarker(event))
+        self._put(_WaitMarker(event))
 
     def synchronize_event(self) -> Event:
         """A sim event that triggers when all currently-enqueued work done
@@ -222,32 +283,54 @@ class CudaStream:
         return self.record_event().fired
 
     # -- stream executor -------------------------------------------------------
-    def _run(self):
-        eng = self.device.engine
-        pending_waits: list[Event] = []
-        while True:
-            item = yield self._queue.get()
-            cls = item.__class__
-            if cls is not GpuOp:
-                if isinstance(item, CudaEvent):
-                    probe = eng.probe
-                    if probe is not None:
-                        probe.on_event_record(self, item)
-                    item.fired.succeed()
-                    continue
-                if isinstance(item, _WaitMarker):
-                    pending_waits.append(item.event.fired)
-                    continue
-            op: GpuOp = item
-            deps = ()
-            if pending_waits or op.wait_events:
-                deps = pending_waits + op.wait_events
-                pending_waits = []
-                yield eng.all_of(deps)
-            probe = eng.probe
-            if probe is not None:
-                probe.on_op_dispatch(self, op, deps)
-            yield from self.device._execute(op, self.priority)
+    def _put(self, item) -> None:
+        self.queued.append(item)
+        if self._idle:
+            self._idle = False
+            self.device.engine.after(0.0, self._take)
+
+    def _next(self, _ev=None) -> None:
+        """Take the next item with one push, or wait for a put."""
+        if self.queued:
+            self.device.engine.after(0.0, self._take)
+        else:
+            self._idle = True
+
+    def _take(self, _ev) -> None:
+        item = self.queued.popleft()
+        cls = item.__class__
+        if cls is not GpuOp:
+            if isinstance(item, CudaEvent):
+                probe = self.device.engine.probe
+                if probe is not None:
+                    probe.on_event_record(self, item)
+                item.fired.succeed()
+            elif isinstance(item, _WaitMarker):
+                self._waits.append(item.event.fired)
+            self._next()
+            return
+        self._op = item
+        if self._waits or item.wait_events:
+            self._deps = self._waits + item.wait_events
+            self._waits = []
+            Latch(self.device.engine, self._deps, self._deps_done)
+        else:
+            self._dispatch()
+
+    def _deps_done(self, ev) -> None:
+        if not ev.ok:
+            raise ev.value
+        self._dispatch()
+
+    def _dispatch(self) -> None:
+        op, deps = self._op, self._deps
+        self._deps = ()
+        probe = self.device.engine.probe
+        if probe is not None:
+            probe.on_op_dispatch(self, op, deps)
+        self._execute(op)
+
+    _op_done = _next
 
 
 class _WaitMarker:
@@ -287,7 +370,7 @@ class GpuDevice:
         self.mem_allocated = 0
         self._streams: list[CudaStream] = []
         # What-if duration scaling (specs.GpuSpec knobs), resolved once so
-        # the neutral default costs a single boolean test in _execute.
+        # the neutral default costs a single boolean test per op.
         self._copy_scales = {
             COPY_D2H: spec.d2h_scale,
             COPY_H2D: spec.h2d_scale,
@@ -326,31 +409,6 @@ class GpuDevice:
         return work.cpu_launch_cost(self.spec, self.link)
 
     # -- execution ----------------------------------------------------------------
-    def _execute(self, op: GpuOp, priority: int):
-        """Generator fragment: run ``op`` on its engine at ``priority``."""
-        kind = op.work.engine
-        resource = self.engines[kind]
-        req = resource.request(priority=priority)
-        yield req
-        if op.in_graph_overhead is not None:
-            overhead = op.in_graph_overhead
-        else:
-            overhead = op.work.device_overhead(self.spec)
-        duration = overhead + op.work.duration(self.spec, self.link)
-        if self._has_scaling:
-            duration *= self._duration_scale(kind, op.name)
-        token = self.trackers[kind].begin()
-        probe = self.engine.probe
-        if probe is not None:
-            probe.on_op_start(self, op, kind, duration)
-        yield duration
-        self.trackers[kind].end(token)
-        resource.release(req)
-        probe = self.engine.probe
-        if probe is not None:
-            probe.on_op_done(op)
-        op.done.succeed()
-
     def _duration_scale(self, kind: str, name: str) -> float:
         """The what-if factor for one op (see ``GpuSpec.op_scales``)."""
         if kind == COMPUTE:

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from ..sim import Engine, Event
-from .gpu import GpuDevice, GpuOp, WorkModel
+from ..sim import Event, Latch
+from .gpu import GpuDevice, GpuOp, WorkModel, _Executor
 
 __all__ = ["GraphNode", "CudaGraph", "GraphExec"]
 
@@ -119,17 +119,46 @@ class GraphExec:
         self.launches += 1
         node_done: list[Event] = [engine.event() for _ in self.graph.nodes]
         gate = list(after or ())
-
-        def run_node(idx: int):
-            node = self.graph.nodes[idx]
+        for i, node in enumerate(self.graph.nodes):
             deps = [node_done[d] for d in node.deps] + gate
-            if deps:
-                yield engine.all_of(deps)
-            op = GpuOp(engine, node.work, name=f"graph.{node.name}")
-            op.in_graph_overhead = self.device.spec.graph_node_device_s
-            yield from self.device._execute(op, priority)
-            node_done[idx].succeed()
-
-        for i in range(len(self.graph.nodes)):
-            engine.process(run_node(i), name=f"{self.device.name}.graphnode{i}")
+            runner = _GraphNode(self.device, priority, i, node, deps, node_done[i])
+            engine.after(0.0, runner._start)
         return engine.all_of(node_done, name="graph.done")
+
+
+class _GraphNode(_Executor):
+    """The driver of one node of a launched graph: wait for the node's
+    dependencies and the launch gate, then run its op on the device at the
+    graph node's device-side overhead and trigger ``done``."""
+
+    __slots__ = ("index", "node", "deps", "done")
+
+    def __init__(self, device: GpuDevice, priority: int, index: int, node: GraphNode,
+                 deps: list, done: Event):
+        self.device = device
+        self.priority = priority
+        self.index = index
+        self.node = node
+        self.deps = deps
+        self.done = done
+
+    @property
+    def component(self) -> str:
+        return f"{self.device.name}.graphnode{self.index}"
+
+    def _start(self, _ev) -> None:
+        if self.deps:
+            Latch(self.device.engine, self.deps, self._ready)
+        else:
+            self._ready(None)
+
+    def _ready(self, ev) -> None:
+        if ev is not None and not ev.ok:
+            raise ev.value
+        self.deps = None
+        op = GpuOp(self.device.engine, self.node.work, name=f"graph.{self.node.name}")
+        op.in_graph_overhead = self.device.spec.graph_node_device_s
+        self._execute(op)
+
+    def _op_done(self) -> None:
+        self.done.succeed()

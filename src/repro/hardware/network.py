@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..sim import Engine, Event, IntervalTracker, Resource
+from ..sim import Driver, Engine, Event, IntervalTracker, Resource
 from .specs import MachineSpec
 from .topology import FatTree
 
@@ -130,39 +130,80 @@ class Network:
         """Move ``message`` across the machine; the returned event triggers
         at delivery (when the last byte reaches the destination node)."""
         done = Event(self.engine, name="net.deliver")
-        self.engine.spawn(self._transfer_proc(message, done), name="net.xfer")
+        self.engine.after(0.0, _Transfer(self, message, done)._start)
         return done
 
-    def _transfer_proc(self, message: Message, done: Event):
-        eng = self.engine
-        src_node = self.node_of_pe(message.src_pe)
-        dst_node = self.node_of_pe(message.dst_pe)
-        message.sent_at = eng.now
-        self.messages_sent += 1
-        self.bytes_sent += message.size
-        probe = eng.probe
+
+class _Transfer(Driver):
+    """The driver of one :meth:`Network.transfer`: claim the port(s), hold
+    them while the bytes stream, release them, then wait out the delivery
+    latency.  Intra-node transfers hold the node's internal transport;
+    inter-node ones the sender's injection port, then the receiver's
+    ejection port."""
+
+    __slots__ = ("net", "message", "done", "src_node", "dst_node", "token", "hold", "eject")
+
+    component = "net.xfer"
+
+    def __init__(self, net: Network, message: Message, done: Event):
+        self.net = net
+        self.message = message
+        self.done = done
+
+    def _start(self, _ev) -> None:
+        net = self.net
+        message = self.message
+        src_node = self.src_node = net.node_of_pe(message.src_pe)
+        dst_node = self.dst_node = net.node_of_pe(message.dst_pe)
+        message.sent_at = net.engine.now
+        net.messages_sent += 1
+        net.bytes_sent += message.size
+        probe = net.engine.probe
         if probe is not None:
-            probe.on_net_send(self, message)
-        token = self.inflight.begin()
+            probe.on_net_send(net, message)
+        self.token = net.inflight.begin()
         if src_node == dst_node:
-            hold = self.intra[src_node].request(priority=message.priority)
-            yield hold
-            yield message.size * message.wire_time_scale / self._intra_bw * self._wire_scale
-            self.intra[src_node].release(hold)
-            yield self._intra_lat * self._wire_scale
+            self.hold = net.intra[src_node].request(priority=message.priority)
+            self.hold.add_callback(self._intra_granted)
         else:
-            inj = self.inject[src_node].request(priority=message.priority)
-            yield inj
-            ej = self.eject[dst_node].request(priority=message.priority)
-            yield ej
-            yield message.size * message.wire_time_scale / self._bw * self._wire_scale
-            self.inject[src_node].release(inj)
-            self.eject[dst_node].release(ej)
-            yield self.wire_latency(src_node, dst_node) * self._wire_scale
-        message.delivered_at = eng.now
-        self.messages_delivered += 1
-        self.inflight.end(token)
-        probe = eng.probe
+            self.hold = net.inject[src_node].request(priority=message.priority)
+            self.hold.add_callback(self._inject_granted)
+
+    def _intra_granted(self, _ev) -> None:
+        net = self.net
+        message = self.message
+        net.engine.after(message.size * message.wire_time_scale / net._intra_bw * net._wire_scale,
+                         self._intra_sent)
+
+    def _intra_sent(self, _ev) -> None:
+        net = self.net
+        net.intra[self.src_node].release(self.hold)
+        net.engine.after(net._intra_lat * net._wire_scale, self._delivered)
+
+    def _inject_granted(self, _ev) -> None:
+        self.eject = self.net.eject[self.dst_node].request(priority=self.message.priority)
+        self.eject.add_callback(self._eject_granted)
+
+    def _eject_granted(self, _ev) -> None:
+        net = self.net
+        message = self.message
+        net.engine.after(message.size * message.wire_time_scale / net._bw * net._wire_scale,
+                         self._inter_sent)
+
+    def _inter_sent(self, _ev) -> None:
+        net = self.net
+        net.inject[self.src_node].release(self.hold)
+        net.eject[self.dst_node].release(self.eject)
+        net.engine.after(net.wire_latency(self.src_node, self.dst_node) * net._wire_scale,
+                         self._delivered)
+
+    def _delivered(self, _ev) -> None:
+        net = self.net
+        message = self.message
+        message.delivered_at = net.engine.now
+        net.messages_delivered += 1
+        net.inflight.end(self.token)
+        probe = net.engine.probe
         if probe is not None:
-            probe.on_net_deliver(self, message)
-        done.succeed(message)
+            probe.on_net_deliver(net, message)
+        self.done.succeed(message)

@@ -4,6 +4,8 @@ Public surface:
 
 * :class:`Engine`, :class:`Event`, :class:`Timeout`, :class:`Process`,
   :class:`AllOf` — the event loop, the process model and the one join.
+* :class:`Driver`, :class:`Latch` — callback state machines for
+  per-message and per-op work, and the join only they observe.
 * :class:`Store`, :class:`PriorityStore`, :class:`Resource`,
   :class:`TokenPool` — queueing primitives.
 * :class:`Probe` — the observer bus every observer subscribes to
@@ -12,7 +14,7 @@ Public surface:
 * :class:`RandomStreams` — reproducible named RNG streams.
 """
 
-from .engine import AllOf, Engine, Event, Process, Timeout
+from .engine import AllOf, Driver, Engine, Event, Latch, Process, Timeout
 from .errors import EventAlreadyTriggered, ProcessCrashed, SimulationError
 from .probe import Probe
 from .resources import PriorityStore, Request, Resource, Store, TokenPool
@@ -21,8 +23,10 @@ from .tracing import (IntervalTracker, Tracer, TraceRecord, merge_intervals, ove
 
 __all__ = [
     "AllOf",
+    "Driver",
     "Engine",
     "Event",
+    "Latch",
     "Process",
     "Timeout",
     "EventAlreadyTriggered",

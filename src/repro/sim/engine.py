@@ -6,6 +6,12 @@ plain Python generators that ``yield`` events (timeouts, other events,
 other processes, or an :class:`AllOf` join) and are resumed by the
 :class:`Engine` when those events trigger.
 
+Per-message and per-op machinery (network transfers, UCX sends, GPU stream
+executors) does not run as processes: it is written as :class:`Driver`
+callback state machines, each step scheduled with :meth:`Engine.after`
+(the push a ``yield delay`` makes) or registered on the event it waits
+for, with :class:`Latch` for joins only a driver observes.
+
 Determinism rules
 -----------------
 * The event heap orders by ``(time, priority, sequence)``; the sequence
@@ -28,7 +34,9 @@ Example
 
 from __future__ import annotations
 
+import gc
 import heapq
+from contextlib import contextmanager
 from heapq import heappush as _heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -40,6 +48,8 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
+    "Driver",
+    "Latch",
     "PENDING",
     "TRIGGERED",
     "PROCESSED",
@@ -236,6 +246,126 @@ class AllOf(_ConditionBase):
     __slots__ = ()
 
 
+class Driver:
+    """Base of the callback drivers: per-message and per-op state machines
+    whose steps are bound methods, each fired by one event.
+
+    A step schedules the next one with :meth:`Engine.after` (where a
+    process would ``yield delay``), registers it with
+    :meth:`Event.add_callback` on the event it waits for (where a process
+    would ``yield event``), or counts child events with a :class:`Latch`
+    (where a process would ``yield engine.all_of(...)``).  A bound-method
+    continuation lives on one event and is dropped when that event fires,
+    so a finished driver is freed by reference counting.
+
+    An exception escaping a step ends the run with :class:`ProcessCrashed`
+    naming :attr:`component`, after :meth:`_abort` has undone any
+    accounting the driver holds across steps.
+    """
+
+    __slots__ = ()
+
+    #: The name a crash report gives this driver.
+    component = "driver"
+
+    def _abort(self) -> None:
+        """Hook run before a crash is raised out of the run loop."""
+
+
+class Latch:
+    """A join only a driver observes: counts ``events`` toward one
+    continuation ``then(event)``.
+
+    When the last child succeeds it pushes one pooled ``URGENT`` event
+    whose waiter is ``then`` — the push :meth:`AllOf.succeed` makes at that
+    point, with no tuple, no :class:`Event` and no per-child join callback
+    on a fresh object.  The first failed child fires it at once instead,
+    with ``event.ok`` false and the child's exception as ``event.value``.
+    ``events`` must be a non-empty sequence.
+    """
+
+    __slots__ = ("engine", "_pending", "_then")
+
+    def __init__(self, engine: "Engine", events: list, then: Callable[[Event], None]):
+        if not events:
+            raise SimulationError("a latch needs at least one child event")
+        self.engine = engine
+        self._then = then
+        self._pending = len(events)
+        on_child = self._on_child
+        for ev in events:
+            ev.add_callback(on_child)
+
+    def _on_child(self, ev: Event) -> None:
+        then = self._then
+        if then is None:  # already fired
+            return
+        if ev._ok:
+            self._pending -= 1
+            if self._pending:
+                return
+        self._then = None
+        engine = self.engine
+        pool = engine._event_pool
+        fired = pool.pop() if pool else _PooledEvent(engine, name="<pause>")
+        fired._state = TRIGGERED
+        if not ev._ok:
+            fired._ok = False
+            fired._value = ev._value
+        fired._waiter = then
+        _heappush(engine._heap, (engine.now, URGENT, engine._seq, fired))
+        engine._seq += 1
+
+
+def _driver_crash(exc: Exception) -> Optional[ProcessCrashed]:
+    """The :class:`ProcessCrashed` for ``exc`` when it escaped a
+    :class:`Driver` step called by the run loop, else ``None``.
+
+    The frame below the loop's own in the traceback is the callback the
+    loop called; a driver step is a bound method, so its ``self`` names
+    the driver.  (Checked only once an exception is already propagating,
+    so the run loop pays nothing for it.)
+    """
+    tb = exc.__traceback__.tb_next
+    driver = tb.tb_frame.f_locals.get("self") if tb is not None else None
+    if not isinstance(driver, Driver):
+        return None
+    driver._abort()
+    return ProcessCrashed(f"process {driver.component!r} crashed: {exc!r}")
+
+
+#: Gen-0 threshold of the cyclic collector while a run loop is active.
+GC_GEN0_THRESHOLD = 50_000
+# The collector's settings are process-wide, so the flag marking an active
+# policy is too: a run nested in another engine's run must see it.
+_gc_policy_active = False
+
+
+@contextmanager
+def _gc_policy():
+    """Around the outermost run loop: freeze every object that exists at
+    entry (the machine and the app built before the run) out of the
+    collector's scans, and raise the gen-0 threshold.  Restores the
+    threshold and unfreezes on exit; never enables or disables the
+    collector.  Per-message objects die by reference counting (see
+    ``docs/performance.md``), so the collector has little to find during a
+    run but would otherwise rescan the long-lived object graph."""
+    global _gc_policy_active
+    if _gc_policy_active:
+        yield
+        return
+    _gc_policy_active = True
+    threshold = gc.get_threshold()
+    gc.freeze()
+    gc.set_threshold(GC_GEN0_THRESHOLD, *threshold[1:])
+    try:
+        yield
+    finally:
+        gc.set_threshold(*threshold)
+        gc.unfreeze()
+        _gc_policy_active = False
+
+
 ProcessGenerator = Generator[Event, Any, Any]
 
 
@@ -250,8 +380,6 @@ class Process(Event):
     __slots__ = ("_generator", "_send", "_throw", "_resume_cb")
 
     _crashable = True
-    #: Set on processes started by :meth:`Engine.spawn`.
-    _detached = False
 
     def __init__(self, engine: "Engine", generator: ProcessGenerator, name: str = ""):
         if not hasattr(generator, "throw"):
@@ -300,13 +428,7 @@ class Process(Event):
                 target = self._throw(trigger._value)
         except StopIteration as stop:
             self._release()
-            if self._detached and not self.callbacks:
-                # Fire-and-forget (Engine.spawn) with nobody waiting: finish
-                # in place instead of pushing a completion nobody observes.
-                self._state = PROCESSED
-                self._value = stop.value
-            else:
-                self.succeed(stop.value)
+            self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate as failure
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
@@ -344,14 +466,6 @@ class Process(Event):
             target.callbacks.append(self._resume_cb)
         else:  # already-processed target: resume immediately (add_callback semantics)
             self._resume(target)
-
-
-class _SpawnedProcess(Process):
-    """A process started by :meth:`Engine.spawn` (fire-and-forget)."""
-
-    __slots__ = ()
-
-    _detached = True
 
 
 class Engine:
@@ -418,17 +532,22 @@ class Engine:
         """Start a new process from ``generator`` at the current time."""
         return Process(self, generator, name=name)
 
-    def spawn(self, generator: ProcessGenerator, name: str = "") -> Process:
-        """Start a fire-and-forget process from ``generator``.
+    def after(self, delay: float, fn: Callable[[Event], None]) -> None:
+        """Call ``fn(event)`` ``delay`` from now: a driver's ``yield delay``.
 
-        Schedules exactly like :meth:`process`, except that a successful
-        finish with no waiter pushes no completion event: the process is
-        marked processed in place.  A failure still ends the run with
-        :class:`ProcessCrashed` naming the process.  Use it where nobody
-        waits on the process (per-message drivers); a process that is
-        waited on from the start behaves exactly like :meth:`process`.
+        Makes exactly the push a process's ``yield delay`` makes (a pooled
+        event at ``NORMAL`` priority, one sequence number) with ``fn`` as
+        its single waiter, so a driver step scheduled here fires where the
+        resumed generator would have.
         """
-        return _SpawnedProcess(self, generator, name=name)
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        pool = self._event_pool
+        event = pool.pop() if pool else _PooledEvent(self, name="<pause>")
+        event._state = TRIGGERED
+        event._waiter = fn
+        _heappush(self._heap, (self.now + delay, NORMAL, self._seq, event))
+        self._seq += 1
 
     def all_of(self, events: Iterable[Event], name: str = "") -> AllOf:
         """A join triggering, with no value, once all of ``events`` have
@@ -455,7 +574,7 @@ class Engine:
         ------
         ProcessCrashed
             If any process dies with an unhandled exception and nobody is
-            waiting on it.
+            waiting on it, or an exception escapes a :class:`Driver` step.
 
         Notes
         -----
@@ -467,14 +586,21 @@ class Engine:
         the checked loop of :meth:`_run` does.  Attach observers before
         calling ``run``; an ``on_event`` subscriber attached mid-run (from
         a callback) is not seen until the next call.
+
+        The outermost run loop runs under the GC policy of
+        :func:`_gc_policy`.
         """
-        if until is not None or max_events is not None or (
-                self.probe is not None and self.probe.handler("on_event") is not None):
-            self._run(until, max_events, None)
-            return
-        # Bare fast-dispatch kernel: no bounds, no observers.  The pop count
-        # falls out of arithmetic (pops = starting heap size + pushes −
-        # leftovers), so the loop body carries no counter either.
+        with _gc_policy():
+            if until is not None or max_events is not None or (
+                    self.probe is not None and self.probe.handler("on_event") is not None):
+                self._run(until, max_events, None)
+            else:
+                self._run_bare()
+
+    def _run_bare(self) -> None:
+        """The bare fast-dispatch kernel: no bounds, no observers.  The pop
+        count falls out of arithmetic (pops = starting heap size + pushes −
+        leftovers), so the loop body carries no counter either."""
         heap = self._heap
         pop = heapq.heappop
         pool = self._event_pool
@@ -488,9 +614,8 @@ class Engine:
                 if event._poolable:
                     # Pooled events have no outside watchers by contract,
                     # so nothing appends to `callbacks` while it runs — the
-                    # list object itself is recycled with the event.  (`_ok`
-                    # can never go False on a pooled event: `fail` refuses
-                    # non-pending events.)
+                    # list object itself is recycled with the event.  (Only
+                    # a failed Latch sets `_ok` False on a pooled event.)
                     waiter = event._waiter
                     if waiter is not None:
                         event._waiter = None
@@ -501,6 +626,7 @@ class Engine:
                             fn(event)
                         del callbacks[:]
                     event._value = None
+                    event._ok = True
                     pool.append(event)
                 else:
                     callbacks = event.callbacks
@@ -510,6 +636,11 @@ class Engine:
                             fn(event)
                     elif event._crashable and not event._ok:
                         self._raise_crash(event)
+        except Exception as exc:
+            crash = _driver_crash(exc)
+            if crash is None:
+                raise
+            raise crash from exc
         finally:
             self.events_executed += start_len + (self._seq - seq0) - len(heap)
 
@@ -562,6 +693,11 @@ class Engine:
                             fn(event)
                     elif event._crashable and not event._ok:
                         self._raise_crash(event)
+        except Exception as exc:
+            crash = _driver_crash(exc)
+            if crash is None:
+                raise
+            raise crash from exc
         finally:
             self.events_executed += count
         if until is not None and until > self.now:
@@ -573,10 +709,12 @@ class Engine:
         Runs the checked loop of :meth:`run`, so ``max_events`` has the
         same semantics and an unwatched process crash raises
         :class:`ProcessCrashed` here too, as does a failed awaited event.
-        Raises :class:`SimulationError` if the heap drains first.
+        Raises :class:`SimulationError` if the heap drains first.  Runs
+        under the same GC policy as :meth:`run`.
         """
         done = self.all_of(events)
-        self._run(None, max_events, done)
+        with _gc_policy():
+            self._run(None, max_events, done)
         if done._state == PENDING:
             raise SimulationError("event heap drained before awaited events triggered (deadlock?)")
         if not done._ok:

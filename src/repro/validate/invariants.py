@@ -287,10 +287,10 @@ class InvariantChecker(Probe):
             for gpu in node.gpus:
                 trackers.extend(gpu.trackers.values())
                 for stream in gpu._streams:
-                    if len(stream._queue):
+                    if stream.queued:
                         self._record(
                             "dangling-gpu-work", stream.name,
-                            f"{len(stream._queue)} op(s) still queued",
+                            f"{len(stream.queued)} op(s) still queued",
                         )
         for pe in cluster.all_pes():
             trackers.append(pe.busy)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.comm import Protocol, UcxContext
 from repro.hardware import Cluster, KiB, MachineSpec, MiB
-from repro.sim import Engine
+from repro.sim import Engine, ProcessCrashed
 
 
 def make_ctx(n_nodes=2, spec=None):
@@ -175,6 +175,22 @@ def test_large_device_message_pipelines():
     # Staging copies happened on both ends.
     assert cluster.gpu(0).busy_seconds(COPY_D2H) > 0
     assert cluster.gpu(6).busy_seconds(COPY_H2D) > 0
+
+
+def test_pipelined_send_crash_names_it_and_leaves_the_pipeline():
+    """An exception in a chunk step ends the run naming ``ucx.send``, and
+    the source device no longer counts the send as an active pipeline."""
+    eng, cluster, ucx = make_ctx()
+
+    def broken(src_state, same_node):
+        raise RuntimeError("bad chunk")
+
+    ucx._pipeline_efficiency = broken
+    ucx.isend(0, 6, 9 * MiB, tag="p", on_device=True)
+    ucx.irecv(0, 6, 9 * MiB, tag="p", on_device=True)
+    with pytest.raises(ProcessCrashed, match="'ucx.send' crashed.*bad chunk"):
+        eng.run()
+    assert ucx._device_state(0).active_pipelines == 0
 
 
 def test_pipelined_slower_than_host_rendezvous_same_bytes():

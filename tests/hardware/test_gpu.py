@@ -14,7 +14,7 @@ from repro.hardware import (
     KernelWork,
     MiB,
 )
-from repro.sim import Engine
+from repro.sim import Engine, ProcessCrashed
 from repro.sim.tracing import overlap_seconds
 
 
@@ -224,6 +224,21 @@ def test_op_explicit_wait_events():
     eng.run()
     assert op.done.processed
     assert eng.now == pytest.approx(5.001)
+
+
+def test_op_waiting_on_a_crashed_process_crashes_its_stream():
+    """A failed dependency fails the op's latch; the stream's executor then
+    ends the run with ProcessCrashed naming the stream."""
+    eng, gpu = make_gpu()
+    s = gpu.create_stream(name="gpu0.s0")
+
+    def producer():
+        yield 1e-6
+        raise RuntimeError("producer died")
+
+    s.enqueue(KernelWork(bytes_moved=1e6), wait_events=[eng.process(producer())])
+    with pytest.raises(ProcessCrashed, match=r"'gpu0\.s0\.proc' crashed.*producer died"):
+        eng.run()
 
 
 def test_wait_event_only_applies_to_later_ops():

@@ -1,14 +1,15 @@
 """Per-message objects die with their message.
 
-Every process, resource request, transfer handle and generator created for
-one message must be freed by reference counting once the message completes,
-not left for the cycle collector.  With the collector disabled and
-``gc.DEBUG_SAVEALL`` set, everything the collector would have had to free
-lands in ``gc.garbage`` — so the count of per-message object types there
-must not grow with the number of iterations (what remains is the machine
-itself: schedulers, stream processes and the like, freed together at the
-end of the run).  UCX tag matching must also leave no emptied match queue
-behind.
+Every process, resource request, transfer handle, callback driver, latch
+and generator created for one message must be freed by reference counting
+once the message completes, not left for the cycle collector.  With the
+collector disabled and ``gc.DEBUG_SAVEALL`` set, everything the collector
+would have had to free lands in ``gc.garbage`` — so the count of
+per-message object types there must not grow with the number of iterations
+(what remains is the machine itself: schedulers, streams and the like,
+freed together at the end of the run), and drivers, latches, transfer
+handles and requests must not be there at all.  UCX tag matching must also
+leave no emptied match queue behind.
 """
 
 import gc
@@ -16,13 +17,19 @@ from collections import Counter
 
 import pytest
 
-from repro.apps import AllreduceConfig, Jacobi3DConfig, run_app
+from repro.apps import AllreduceConfig, CholeskyConfig, Jacobi3DConfig, run_app
 from repro.comm import TransferHandle, UcxContext
-from repro.sim import Process
+from repro.comm.ucx import _Send
+from repro.hardware.graphs import _GraphNode
+from repro.hardware.network import _Transfer
+from repro.sim import Latch, Process
 from repro.sim.resources import Request
 
 PER_MESSAGE_TYPES = {"Process": Process, "Request": Request,
-                     "TransferHandle": TransferHandle}
+                     "TransferHandle": TransferHandle, "_Transfer": _Transfer,
+                     "_Send": _Send, "_GraphNode": _GraphNode, "Latch": Latch}
+#: Per-message types that must never reach the cycle collector at all.
+NEVER_CYCLIC = ("TransferHandle", "Request", "_Transfer", "_Send", "_GraphNode", "Latch")
 
 CONFIGS = {
     "allreduce": lambda k: AllreduceConfig(
@@ -30,6 +37,9 @@ CONFIGS = {
         iterations=k, warmup=1),
     "jacobi3d": lambda k: Jacobi3DConfig(
         version="charm-d", nodes=2, grid=(96, 96, 96), odf=2, iterations=k, warmup=1),
+    # Host-staged MPI: every message takes the host rendezvous path.  A
+    # factorization has no iteration count, so k scales the tile count.
+    "cholesky": lambda k: CholeskyConfig(version="mpi-h", nodes=2, tiles=2 * k, tile=64),
 }
 
 
@@ -66,7 +76,8 @@ def test_per_message_objects_do_not_need_the_cycle_collector(app):
     many, many_contexts = cyclic_garbage(CONFIGS[app](2 * k))
     for name in (*PER_MESSAGE_TYPES, "generator"):
         assert many[name] <= few[name], (name, few[name], many[name])
-    assert many["TransferHandle"] == 0 and many["Request"] == 0
+    for name in NEVER_CYCLIC:
+        assert many[name] == 0, (name, many[name])
     for ucx in (*few_contexts, *many_contexts):
         assert ucx._pending_sends == {} and ucx._pending_recvs == {}
     assert len(many_contexts) == 1

@@ -8,18 +8,23 @@ here pins one seam where a fast path could diverge from the slow path it
 replaced.
 """
 
+import gc
+
 import pytest
 
 from repro.hardware.specs import NicSpec, TopologySpec
 from repro.hardware.topology import FatTree
 from repro.obs import MetricsRegistry
 from repro.sim import (
+    Driver,
     Engine,
+    Latch,
     Probe,
     ProcessCrashed,
     SimulationError,
     Store,
 )
+from repro.sim.engine import GC_GEN0_THRESHOLD, NORMAL
 from repro.validate import CANONICAL_CONFIGS, GoldenStore, golden_entry
 
 
@@ -255,13 +260,13 @@ def test_observed_loop_counts_match_bare_loop():
 
 
 # ---------------------------------------------------------------------------
-# Pooled process start and fire-and-forget spawn
+# Pooled process start
 # ---------------------------------------------------------------------------
 
 
 def _fan_out(eng, start, n=6):
-    """n short processes started through ``start`` (process or spawn), each
-    interleaved at t=0 with a timeout and a plain event; returns the log."""
+    """n short processes started through ``start``, each interleaved at t=0
+    with a timeout and a plain event; returns the log."""
     log = []
 
     def worker(i):
@@ -280,20 +285,6 @@ def _fan_out(eng, start, n=6):
     return log
 
 
-def test_spawn_drops_exactly_one_event_per_process():
-    """A spawned process schedules exactly like a started one, minus the
-    completion event nobody waits on."""
-    eng_p, eng_s = Engine(), Engine()
-    log_p = _fan_out(eng_p, eng_p.process)
-    log_s = _fan_out(eng_s, eng_s.spawn)
-    eng_p.run()
-    eng_s.run()
-    assert log_s == log_p
-    assert eng_s.now == eng_p.now
-    assert eng_p.events_executed - eng_s.events_executed == 6
-    assert eng_p._seq - eng_s._seq == 6
-
-
 def test_pooled_start_keeps_same_timestamp_order():
     """The start takes its sequence number at creation, so a process's
     first step interleaves with same-time timeouts and events strictly in
@@ -308,34 +299,6 @@ def test_pooled_start_keeps_same_timestamp_order():
     assert len(eng._event_pool) == pooled - 1
 
 
-def test_spawned_failure_raises_process_crashed_naming_it():
-    eng = Engine()
-
-    def broken():
-        yield 1.0
-        raise ValueError("bad transfer")
-
-    eng.spawn(broken(), name="net.xfer")
-    with pytest.raises(ProcessCrashed, match="net.xfer.*bad transfer"):
-        eng.run()
-
-
-def test_spawned_process_waited_on_still_completes():
-    eng = Engine()
-    seen = []
-
-    def child():
-        yield 1.0
-        return "value"
-
-    def parent(proc):
-        seen.append((yield proc))
-
-    eng.process(parent(eng.spawn(child())))
-    eng.run()
-    assert seen == ["value"]
-
-
 def test_finished_process_drops_self_bound_methods():
     eng = Engine()
 
@@ -346,6 +309,168 @@ def test_finished_process_drops_self_bound_methods():
     assert proc._resume_cb is not None
     eng.run()
     assert (proc._resume_cb, proc._send, proc._throw) == (None, None, None)
+
+
+# ---------------------------------------------------------------------------
+# Callback drivers: after(), Latch and the crash report
+# ---------------------------------------------------------------------------
+
+
+def test_after_pushes_what_a_bare_yield_pushes():
+    """``after(d, fn)`` makes the heap entry a process's ``yield d`` makes:
+    same time, same priority, same sequence number."""
+    eng_y, eng_a = Engine(), Engine()
+
+    def proc():
+        yield 1.5
+
+    eng_y.process(proc())
+    eng_a.after(0.0, lambda _ev: eng_a.after(1.5, lambda _ev: None))
+    for eng in (eng_y, eng_a):
+        eng.run(until=0.0)  # runs the start, which schedules the 1.5 hop
+    [(t_y, prio_y, seq_y, _)] = eng_y._heap
+    [(t_a, prio_a, seq_a, _)] = eng_a._heap
+    assert (t_y, prio_y, seq_y) == (t_a, prio_a, seq_a) == (1.5, NORMAL, 1)
+
+
+def test_after_interleaves_with_yields_by_sequence_number():
+    eng = Engine()
+    fired = []
+
+    def via_yield(i):
+        yield 1.0
+        fired.append(i)
+
+    def via_after(i):
+        eng.after(0.0, lambda _ev: eng.after(1.0, lambda _ev: fired.append(i)))
+
+    for i in range(8):
+        if i % 2:
+            eng.process(via_yield(i))
+        else:
+            via_after(i)
+    eng.run()
+    assert fired == list(range(8))
+    with pytest.raises(SimulationError, match="past"):
+        eng.after(-1.0, lambda _ev: None)
+
+
+def test_latch_completes_in_the_all_of_heap_slot():
+    """A latch pushes its continuation where ``all_of`` pushes its join
+    (URGENT, at the last child's processing): same order against
+    same-time events, same event count, same sequence numbers."""
+
+    def run(join):
+        eng = Engine()
+        log = []
+        a, b, late = eng.event("a"), eng.event("b"), eng.event("late")
+        late.add_callback(lambda _ev: log.append(("late", eng.now)))
+        eng.timeout(1.0).add_callback(lambda _ev: a.succeed())
+        eng.timeout(2.0).add_callback(lambda _ev: (b.succeed(), late.succeed()))
+        eng.timeout(2.0).add_callback(lambda _ev: log.append(("tie", eng.now)))
+        if join == "all_of":
+            eng.all_of([a, b]).add_callback(lambda _ev: log.append(("join", eng.now)))
+        else:
+            Latch(eng, [a, b], lambda _ev: log.append(("join", eng.now)))
+        eng.run()
+        return log, eng.events_executed, eng._seq
+
+    latch, all_of = run("latch"), run("all_of")
+    assert latch == all_of
+    assert latch[0] == [("tie", 2.0), ("join", 2.0), ("late", 2.0)]
+
+
+def test_latch_fails_on_its_first_failed_child():
+    eng = Engine()
+    seen = []
+    a, b, c = eng.event("a"), eng.event("b"), eng.event("c")
+    Latch(eng, [a, b, c], lambda ev: seen.append((eng.now, ev.ok, ev.value)))
+    first = ValueError("first")
+    eng.timeout(1.0).add_callback(lambda _ev: b.fail(first))
+    eng.timeout(2.0).add_callback(lambda _ev: (a.succeed(), c.fail(ValueError("second"))))
+    eng.run()
+    assert seen == [(1.0, False, first)]
+    assert all(ev._ok and ev._value is None for ev in eng._event_pool)
+    with pytest.raises(SimulationError, match="at least one"):
+        Latch(eng, [], lambda _ev: None)
+
+
+def test_driver_step_failure_raises_process_crashed_naming_it():
+    eng = Engine()
+
+    class Broken(Driver):
+        __slots__ = ()
+        component = "net.xfer"
+
+        def _start(self, _ev):
+            eng.after(1.0, self._fail)
+
+        def _fail(self, _ev):
+            raise ValueError("bad transfer")
+
+    eng.after(0.0, Broken()._start)
+    with pytest.raises(ProcessCrashed, match="'net.xfer' crashed.*bad transfer"):
+        eng.run()
+
+
+def test_plain_callback_failure_is_not_reported_as_a_driver():
+    eng = Engine()
+    eng.timeout(1.0).add_callback(lambda _ev: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        eng.run()
+
+
+# ---------------------------------------------------------------------------
+# GC policy around the run loop
+# ---------------------------------------------------------------------------
+
+
+def _gc_settings():
+    return gc.get_threshold(), gc.get_freeze_count(), gc.isenabled()
+
+
+@pytest.mark.parametrize("ending", ["run", "run_until_complete", "crash", "max_events"])
+def test_gc_policy_restores_the_collector(ending):
+    eng = Engine()
+    inside = []
+
+    def proc():
+        inside.append((gc.get_threshold()[0], gc.get_freeze_count() > 0))
+        yield 1.0
+        if ending == "crash":
+            raise RuntimeError("boom")
+
+    before = _gc_settings()
+    proc_ev = eng.process(proc())
+    if ending == "run":
+        eng.run()
+    elif ending == "run_until_complete":
+        eng.run_until_complete(proc_ev)
+    elif ending == "crash":
+        with pytest.raises(ProcessCrashed):
+            eng.run()
+    else:
+        with pytest.raises(SimulationError, match="max_events"):
+            eng.run(max_events=1)
+    assert inside == [(GC_GEN0_THRESHOLD, True)]
+    assert _gc_settings() == before
+
+
+def test_nested_run_leaves_the_outer_policy_alone():
+    outer, inner = Engine(), Engine()
+    seen = []
+
+    def nested(_ev):
+        frozen = gc.get_freeze_count()
+        inner.timeout(1.0)
+        inner.run()
+        seen.append((gc.get_threshold()[0], gc.get_freeze_count() == frozen))
+
+    outer.timeout(1.0).add_callback(nested)
+    before = _gc_settings()
+    outer.run()
+    assert seen == [(GC_GEN0_THRESHOLD, True)]
+    assert _gc_settings() == before
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ offending actor and simulated time."""
 import pytest
 
 from repro.apps import Jacobi3DConfig, run_app
-from repro.hardware import Cluster, MachineSpec
+from repro.hardware import Cluster, CudaEvent, KernelWork, MachineSpec
 from repro.sim import Engine, Resource, SimulationError
 from repro.validate import InvariantChecker, InvariantError
 from repro.validate.faults import (
@@ -138,6 +138,23 @@ def test_dangling_events_detected_at_finish():
     eng.timeout(10.0)  # scheduled, never drained
     checker.finish(raise_on_violation=False)
     assert any(v.rule == "dangling-events" for v in checker.violations)
+
+
+def test_stream_stuck_behind_unfired_cuda_event_reports_dangling_gpu_work():
+    """A stream waiting on a CUDA event nobody records takes its next op
+    into the wait and leaves the rest queued; finish names the stream."""
+    eng = Engine()
+    cluster = Cluster(eng, MachineSpec.small_debug(), 1)
+    checker = InvariantChecker().attach(eng)
+    checker.watch_cluster(cluster)
+    stream = cluster.gpu(0).create_stream(name="stuck")
+    stream.wait_event(CudaEvent(eng, name="never"))
+    for _ in range(3):
+        stream.enqueue(KernelWork(bytes_moved=1e6))
+    eng.run()
+    checker.finish(raise_on_violation=False)
+    dangling = [v for v in checker.violations if v.rule == "dangling-gpu-work"]
+    assert [(v.actor, v.detail) for v in dangling] == [("stuck", "2 op(s) still queued")]
 
 
 def test_books_disagree_when_component_lies():
