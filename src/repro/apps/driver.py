@@ -153,7 +153,7 @@ def run_app(
     else:
         host = _ampi_rank_class if config.is_ampi else _mpi_rank_class
         units = frontend.launch(host(spec.make_rank_program(ctx)))
-    ucx = frontend.ucx if runtime is None else runtime.ucx
+    ucx = frontend.ucx
     if checker is not None:
         checker.watch_ucx(ucx)
         if runtime is not None:

@@ -1,5 +1,5 @@
 """MPI model on the simulated cluster (host-staging and CUDA-aware)."""
 
-from .api import (MpiCosts, MpiProcess, MpiWorld, Request, allreduce_algorithm, barrier_algorithm)
+from .api import MpiCosts, MpiProcess, MpiWorld, Request
 
-__all__ = ["MpiCosts", "MpiProcess", "MpiWorld", "Request", "allreduce_algorithm", "barrier_algorithm"]
+__all__ = ["MpiCosts", "MpiProcess", "MpiWorld", "Request"]

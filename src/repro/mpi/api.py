@@ -11,23 +11,27 @@ Supported surface:
   returning :class:`Request` objects;
 * ``wait``/``waitall`` (blocking, with per-request completion cost);
 * ``sync(event)`` — blocking GPU sync (``cudaStreamSynchronize``);
-* ``work``/``launch``/``launch_graph`` — same semantics as the runtime's;
+* ``work``/``launch``/``launch_graph`` — the runtime's own commands;
 * ``barrier()`` and ``allreduce()`` — binomial-tree collectives built from
   real point-to-point messages (``yield from`` helpers).
+
+One rank model, hosted two ways: :meth:`MpiWorld.interpret` is the only
+command interpreter.  It lowers ``isend``/``irecv``/``waitall`` onto the
+base ``Work``/``Await`` commands, which :meth:`MpiWorld._drive` runs
+blocking on the rank's PE — and which AMPI (:mod:`repro.ampi`, a subclass
+of both classes here) hands to the hosting chare's scheduler instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from ..comm import UcxContext
 from ..comm.ucx import PRIORITY_COMM
 from ..hardware import Cluster
-from ..hardware.gpu import CudaStream, WorkModel
-from ..hardware.graphs import GraphExec
-from ..sim import Event, SimulationError
-from ..runtime.commands import Await, Launch, LaunchGraph, Work
+from ..sim import Event, ProcessCrashed, SimulationError
+from ..runtime.commands import Await, ComputeCommands, Launch, LaunchGraph, Work
 
 __all__ = ["MpiCosts", "Request", "MpiProcess", "MpiWorld"]
 
@@ -84,16 +88,27 @@ class _WaitAll:
     requests: tuple
 
 
-class MpiProcess:
+#: Commands a rank's ``main`` may yield that its host runs as they are.
+_BASE_COMMANDS = (Work, Launch, LaunchGraph, Await)
+
+
+class MpiProcess(ComputeCommands):
     """Base class for rank programs; subclass and implement ``main()``."""
+
+    #: Prefix of the collectives' tags (AMPI keeps its own namespace).
+    _coll_prefix = ""
 
     def __init__(self, world: "MpiWorld", rank: int):
         self.world = world
         self.rank = rank
-        self.pe = world.cluster.pe(rank)
-        self.gpu = self.pe.gpu
         self._coll_seq = 0
+        self._bind_pe()
         self.init()
+
+    def _bind_pe(self) -> None:
+        """An MPI rank owns PE ``rank`` and its GPU from construction on."""
+        self.pe = self.world.cluster.pe(self.rank)
+        self.gpu = self.pe.gpu
 
     def init(self) -> None:
         """Subclass hook: allocate buffers, create streams."""
@@ -107,19 +122,6 @@ class MpiProcess:
         return self.world.size
 
     # -- command constructors ---------------------------------------------------
-    def work(self, seconds: float) -> Work:
-        return Work(seconds)
-
-    def launch(self, stream: CudaStream, work: WorkModel, name: str = "",
-               wait: Iterable[Event] = (), reads: Iterable[tuple] = (),
-               writes: Iterable[tuple] = ()) -> Launch:
-        return Launch(stream, work, name=name, wait_events=tuple(wait),
-                      reads=tuple(reads), writes=tuple(writes))
-
-    def launch_graph(self, graph_exec: GraphExec, priority: int = 0,
-                     after: Iterable[Event] = ()) -> LaunchGraph:
-        return LaunchGraph(graph_exec, priority=priority, after=tuple(after))
-
     def isend(self, dest: int, size: int, tag: Any = 0, device: bool = False,
               payload: Any = None) -> _Isend:
         """Nonblocking send to ``dest``; yields back a :class:`Request`."""
@@ -144,17 +146,55 @@ class MpiProcess:
     # -- collectives (use with ``yield from``) --------------------------------------
     def barrier(self):
         """Dissemination barrier out of zero-byte point-to-point messages."""
-        gen = ("bar", self._coll_seq)
+        gen = (self._coll_prefix + "bar", self._coll_seq)
         self._coll_seq += 1
-        yield from barrier_algorithm(self, gen)
+        size = self.size
+        mask = 1
+        while mask < size:
+            to = (self.rank + mask) % size
+            frm = (self.rank - mask) % size
+            rs = yield self.isend(to, 1, tag=(gen, mask))
+            rr = yield self.irecv(frm, 1, tag=(gen, mask))
+            yield self.waitall([rs, rr])
+            mask <<= 1
 
     def allreduce(self, value, op: Callable[[Any, Any], Any] = None, bytes_per_item: int = 8):
         """Binomial-tree reduce to rank 0 + binomial broadcast; returns the
         reduced value.  ``op`` defaults to addition."""
-        gen = ("ared", self._coll_seq)
+        gen = (self._coll_prefix + "ared", self._coll_seq)
         self._coll_seq += 1
-        result = yield from allreduce_algorithm(self, gen, value, op, bytes_per_item)
-        return result
+        if op is None:
+            op = lambda a, b: a + b  # noqa: E731
+        rank = self.rank
+        size = self.size
+        acc = value
+        mask = 1
+        while mask < size:
+            if rank & mask:
+                req = yield self.isend(rank - mask, bytes_per_item,
+                                       tag=(gen, "r", mask), payload=acc)
+                yield self.wait(req)
+                break
+            partner = rank + mask
+            if partner < size:
+                req = yield self.irecv(partner, bytes_per_item, tag=(gen, "r", mask))
+                yield self.wait(req)
+                acc = op(acc, req.data)
+            mask <<= 1
+        mask = 1
+        while mask < size:
+            if rank < mask:
+                partner = rank + mask
+                if partner < size:
+                    req = yield self.isend(partner, bytes_per_item,
+                                           tag=(gen, "b", mask), payload=acc)
+                    yield self.wait(req)
+            elif rank < 2 * mask:
+                req = yield self.irecv(rank - mask, bytes_per_item, tag=(gen, "b", mask))
+                yield self.wait(req)
+                acc = req.data
+            mask <<= 1
+        return acc
 
     def notify(self, event: str, **data) -> None:
         """Report an application event to world observers (free)."""
@@ -176,21 +216,23 @@ class MpiWorld:
         self._procs = []
 
     def launch(self, process_cls, **kwargs) -> list[MpiProcess]:
-        """Instantiate ``process_cls`` on every PE and start its ``main``."""
+        """Instantiate ``process_cls`` for every rank and start its ``main``."""
         if self.ranks:
-            raise SimulationError("MpiWorld.launch called twice")
+            raise SimulationError(f"{type(self).__name__}.launch called twice")
         self.ranks = [process_cls(self, r, **kwargs) for r in range(self.size)]
+        self._start()
+        return self.ranks
+
+    def _start(self) -> None:
+        """Start every rank: one blocking driver process per PE."""
         self._procs = [
             self.engine.process(self._drive(p), name=f"mpi.rank{p.rank}") for p in self.ranks
         ]
-        return self.ranks
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Run until every rank's ``main`` returns (raises on deadlock)."""
         if not self._procs:
             raise SimulationError("launch() before run()")
-        from ..sim import ProcessCrashed
-
         try:
             self.engine.run(max_events=max_events)
         except ProcessCrashed as crash:
@@ -203,38 +245,104 @@ class MpiWorld:
             if not p.ok:
                 raise p.value
 
-    # -- the per-rank driver -----------------------------------------------------
-    def _drive(self, proc: MpiProcess):
+    def _route(self, src: int, dst: int, tag: Any) -> tuple:
+        """UCX source PE, destination PE and tag of a message from rank
+        ``src`` to rank ``dst`` (rank = PE under MPI)."""
+        return src, dst, ("mpi", tag)
+
+    # -- the one command interpreter --------------------------------------------------
+    def interpret(self, proc: MpiProcess, owner):
+        """Run ``proc.main()``, yielding only base commands to its host.
+
+        ``Work``/``Launch``/``LaunchGraph``/``Await`` pass through (their
+        results are sent back into ``main``); ``isend``/``irecv`` become the
+        MPI call overhead (``Work``) and a UCX post; ``waitall`` becomes the
+        per-request completion cost (``Work``) and one ``Await`` on the
+        pending requests.  ``owner`` is the rank's identity on the probe bus:
+        the rank itself under MPI, its hosting chare under AMPI.
+        """
         engine = self.engine
         costs = self.costs
-        pe = proc.pe
+        ucx = self.ucx
+        route = self._route
+        rank = proc.rank
+        call = Work(costs.call_overhead_s)
         coroutine = proc.main()
         value = None
-
-        def busy(seconds):
-            if seconds > 0:
-                token = pe.busy.begin()
-                yield seconds
-                pe.busy.end(token)
-
-        def blocking_wait(event):
-            # MPI blocks with the CPU captive (polling) — tracked as
-            # ``blocked``, not ``busy``: the core does no work, it waits on
-            # activity recorded elsewhere (GPU engines, the wire).
-            token = pe.blocked.begin()
-            yield event
-            pe.blocked.end(token)
-
         while True:
             try:
                 cmd = coroutine.send(value)
             except StopIteration:
                 return
+            cls = cmd.__class__
+            if cls is _Isend or cls is _Irecv:
+                yield call
+                if cls is _Isend:
+                    src, dst, tag = route(rank, cmd.dest, cmd.tag)
+                    handle = ucx.isend(src, dst, cmd.size, tag=tag, on_device=cmd.device,
+                                       priority=PRIORITY_COMM, payload=cmd.payload)
+                else:
+                    src, dst, tag = route(cmd.source, rank, cmd.tag)
+                    handle = ucx.irecv(src, dst, cmd.size, tag=tag, on_device=cmd.device)
+                probe = engine.probe
+                if probe is not None:
+                    probe.on_transfer_post(handle, owner)
+                value = Request(handle, handle.kind)
+            elif cls is _WaitAll:
+                requests = cmd.requests
+                yield Work(costs.completion_s * max(1, len(requests)))
+                pending = [r.done for r in requests if not r.done.processed]
+                if pending:
+                    yield Await(engine.all_of(pending))
+                probe = engine.probe
+                if probe is not None:
+                    for r in requests:
+                        probe.on_wake(owner, r.done)
+                value = [r.data for r in requests]
+            elif isinstance(cmd, _BASE_COMMANDS):
+                value = yield cmd
+            else:
+                raise SimulationError(f"rank {rank} yielded unknown command {cmd!r}")
+
+    def _drive(self, proc: MpiProcess):
+        """Run ``proc``'s base commands blocking on its PE.
+
+        Work and launch costs keep the core ``busy``; a wait keeps it
+        captive (polling), tracked as ``blocked``: the core does no work, it
+        waits on activity recorded elsewhere (GPU engines, the wire).
+        """
+        engine = self.engine
+        pe = proc.pe
+        commands = self.interpret(proc, proc)
+        value = None
+        while True:
+            try:
+                cmd = commands.send(value)
+            except StopIteration:
+                return
             value = None
+            if isinstance(cmd, Await):
+                event = cmd.event
+                if not event.processed:
+                    token = pe.blocked.begin()
+                    yield event
+                    pe.blocked.end(token)
+                probe = engine.probe
+                if probe is not None:
+                    probe.on_wake(proc, event)
+                value = event.value
+                continue
             if isinstance(cmd, Work):
-                yield from busy(cmd.seconds)
+                seconds = cmd.seconds
             elif isinstance(cmd, Launch):
-                yield from busy(cmd.stream.device.cpu_launch_cost(cmd.work))
+                seconds = cmd.stream.device.cpu_launch_cost(cmd.work)
+            else:
+                seconds = cmd.exec.cpu_launch_cost
+            if seconds > 0:
+                token = pe.busy.begin()
+                yield seconds
+                pe.busy.end(token)
+            if isinstance(cmd, Launch):
                 value = cmd.stream.enqueue(cmd.work, name=cmd.name,
                                            wait_events=list(cmd.wait_events),
                                            reads=cmd.reads, writes=cmd.writes)
@@ -242,47 +350,7 @@ class MpiWorld:
                 if probe is not None:
                     probe.on_launch_issue(proc, value)
             elif isinstance(cmd, LaunchGraph):
-                yield from busy(cmd.exec.cpu_launch_cost)
                 value = cmd.exec.launch(priority=cmd.priority, after=list(cmd.after))
-            elif isinstance(cmd, _Isend):
-                yield from busy(costs.call_overhead_s)
-                handle = self.ucx.isend(
-                    proc.rank, cmd.dest, cmd.size, tag=("mpi", cmd.tag),
-                    on_device=cmd.device, priority=PRIORITY_COMM, payload=cmd.payload,
-                )
-                probe = engine.probe
-                if probe is not None:
-                    probe.on_transfer_post(handle, proc)
-                value = Request(handle, "send")
-            elif isinstance(cmd, _Irecv):
-                yield from busy(costs.call_overhead_s)
-                handle = self.ucx.irecv(
-                    cmd.source, proc.rank, cmd.size, tag=("mpi", cmd.tag),
-                    on_device=cmd.device,
-                )
-                probe = engine.probe
-                if probe is not None:
-                    probe.on_transfer_post(handle, proc)
-                value = Request(handle, "recv")
-            elif isinstance(cmd, _WaitAll):
-                yield from busy(costs.completion_s * max(1, len(cmd.requests)))
-                pending = [r.done for r in cmd.requests if not r.done.processed]
-                if pending:
-                    yield from blocking_wait(engine.all_of(pending))
-                probe = engine.probe
-                if probe is not None:
-                    for r in cmd.requests:
-                        probe.on_wake(proc, r.done)
-                value = [r.data for r in cmd.requests]
-            elif isinstance(cmd, Await):
-                if not cmd.event.processed:
-                    yield from blocking_wait(cmd.event)
-                probe = engine.probe
-                if probe is not None:
-                    probe.on_wake(proc, cmd.event)
-                value = cmd.event.value
-            else:
-                raise SimulationError(f"rank {proc.rank} yielded unknown command {cmd!r}")
 
     # -- observers -------------------------------------------------------------------
     def observe(self, fn: Callable) -> None:
@@ -291,57 +359,3 @@ class MpiWorld:
     def _notify(self, event: str, proc: MpiProcess, **data) -> None:
         for fn in self._observers:
             fn(event, proc, **data)
-
-
-# ---------------------------------------------------------------------------
-# Collective algorithms, shared with AMPI (anything exposing rank/size and
-# the isend/irecv/wait command constructors can run them).
-# ---------------------------------------------------------------------------
-
-
-def barrier_algorithm(proc, gen):
-    """Dissemination barrier over point-to-point messages."""
-    size = proc.size
-    mask = 1
-    while mask < size:
-        to = (proc.rank + mask) % size
-        frm = (proc.rank - mask) % size
-        rs = yield proc.isend(to, 1, tag=(gen, mask))
-        rr = yield proc.irecv(frm, 1, tag=(gen, mask))
-        yield proc.waitall([rs, rr])
-        mask <<= 1
-
-
-def allreduce_algorithm(proc, gen, value, op=None, bytes_per_item: int = 8):
-    """Binomial reduce-to-0 followed by binomial broadcast."""
-    if op is None:
-        op = lambda a, b: a + b  # noqa: E731
-    size = proc.size
-    acc = value
-    mask = 1
-    while mask < size:
-        if proc.rank & mask:
-            req = yield proc.isend(proc.rank - mask, bytes_per_item,
-                                   tag=(gen, "r", mask), payload=acc)
-            yield proc.wait(req)
-            break
-        partner = proc.rank + mask
-        if partner < size:
-            req = yield proc.irecv(partner, bytes_per_item, tag=(gen, "r", mask))
-            yield proc.wait(req)
-            acc = op(acc, req.data)
-        mask <<= 1
-    mask = 1
-    while mask < size:
-        if proc.rank < mask:
-            partner = proc.rank + mask
-            if partner < size:
-                req = yield proc.isend(partner, bytes_per_item,
-                                       tag=(gen, "b", mask), payload=acc)
-                yield proc.wait(req)
-        elif proc.rank < 2 * mask:
-            req = yield proc.irecv(proc.rank - mask, bytes_per_item, tag=(gen, "b", mask))
-            yield proc.wait(req)
-            acc = req.data
-        mask <<= 1
-    return acc

@@ -116,9 +116,7 @@ class Channel:
                 )
                 if probe is not None:
                     probe.on_msg_deposit(msg, event=handle.done)
-                runtime.engine.pause(poll).add_callback(
-                    lambda _t: scheduler.enqueue(msg)
-                )
+                runtime.engine.after(poll, lambda _t: scheduler.enqueue(msg))
 
             handle.done.add_callback(on_done)
 

@@ -20,10 +20,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Iterable, Iterator, Optional
 
-from ..hardware.gpu import CudaStream, WorkModel
-from ..hardware.graphs import GraphExec
 from ..sim import Event
-from .commands import Await, Launch, LaunchGraph, When, Work
+from .commands import Await, ComputeCommands, When
 from .costs import MsgPriority
 from .messages import EntryMessage
 
@@ -58,7 +56,7 @@ class Frame:
         return w is not None and w.method == method and (w.ref is None or w.ref == ref)
 
 
-class Chare:
+class Chare(ComputeCommands):
     """Base class for user chares.
 
     Attributes set by the runtime at construction: ``runtime``, ``array``,
@@ -86,30 +84,8 @@ class Chare:
     def init(self) -> None:
         """Subclass hook: allocate buffers, create streams, etc."""
 
-    # -- command constructors (use with ``yield``) ---------------------------
-    def work(self, seconds: float) -> Work:
-        """Model ``seconds`` of CPU work in this entry method."""
-        return Work(seconds)
-
-    def launch(
-        self,
-        stream: CudaStream,
-        work: WorkModel,
-        name: str = "",
-        wait: Iterable[Event] = (),
-        reads: Iterable[tuple] = (),
-        writes: Iterable[tuple] = (),
-    ) -> Launch:
-        """Launch GPU work (pays the host-side launch cost); yields the op.
-        ``reads``/``writes`` declare the buffers touched, for the sanitizer."""
-        return Launch(stream, work, name=name, wait_events=tuple(wait),
-                      reads=tuple(reads), writes=tuple(writes))
-
-    def launch_graph(self, graph_exec: GraphExec, priority: int = 0,
-                     after: Iterable[Event] = ()) -> LaunchGraph:
-        """Launch a pre-instantiated CUDA graph; yields its completion event."""
-        return LaunchGraph(graph_exec, priority=priority, after=tuple(after))
-
+    # -- command constructors (use with ``yield``; ``work``/``launch``/
+    # ``launch_graph`` come from ComputeCommands) ----------------------------
     def when(self, method: str, ref: Any = None) -> When:
         """SDAG ``when method[ref]``; yields the matching message."""
         return When(method, ref)

@@ -25,14 +25,14 @@ produces automatic computation-communication overlap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from ..hardware.graphs import GraphExec
 from ..hardware.gpu import CudaStream, WorkModel
 from ..sim import Event
 from .costs import MsgPriority
 
-__all__ = ["Command", "Work", "Launch", "LaunchGraph", "When", "Await"]
+__all__ = ["Command", "Work", "Launch", "LaunchGraph", "When", "Await", "ComputeCommands"]
 
 
 class Command:
@@ -95,3 +95,33 @@ class Await(Command):
 
     event: Event
     priority: float = MsgPriority.GPU_COMPLETION
+
+
+class ComputeCommands:
+    """The compute-command constructors chares and MPI ranks share (use
+    with ``yield``)."""
+
+    __slots__ = ()
+
+    def work(self, seconds: float) -> Work:
+        """Model ``seconds`` of CPU work."""
+        return Work(seconds)
+
+    def launch(
+        self,
+        stream: CudaStream,
+        work: WorkModel,
+        name: str = "",
+        wait: Iterable[Event] = (),
+        reads: Iterable[tuple] = (),
+        writes: Iterable[tuple] = (),
+    ) -> Launch:
+        """Launch GPU work (pays the host-side launch cost); yields the op.
+        ``reads``/``writes`` declare the buffers touched, for the sanitizer."""
+        return Launch(stream, work, name=name, wait_events=tuple(wait),
+                      reads=tuple(reads), writes=tuple(writes))
+
+    def launch_graph(self, graph_exec: GraphExec, priority: int = 0,
+                     after: Iterable[Event] = ()) -> LaunchGraph:
+        """Launch a pre-instantiated CUDA graph; yields its completion event."""
+        return LaunchGraph(graph_exec, priority=priority, after=tuple(after))

@@ -89,9 +89,7 @@ def _gm_post(self, msg: EntryMessage) -> None:
             )
             if probe is not None:
                 probe.on_msg_deposit(deposit, event=handle.done)
-            runtime.engine.pause(poll).add_callback(
-                lambda _t: scheduler.enqueue(deposit)
-            )
+            runtime.engine.after(poll, lambda _t: scheduler.enqueue(deposit))
 
         handle.done.add_callback(on_done)
 

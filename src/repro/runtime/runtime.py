@@ -98,9 +98,8 @@ class CharmRuntime:
 
         if src_pe == dst_pe:
             # Same-PE: pointer enqueue after a small delivery delay.
-            self.engine.pause(self.costs.local_delivery_s).add_callback(
-                lambda _e: self.schedulers[dst_pe].enqueue(msg)
-            )
+            self.engine.after(self.costs.local_delivery_s,
+                              lambda _e: self.schedulers[dst_pe].enqueue(msg))
         else:
             wire = NetMessage(
                 src_pe,

@@ -251,9 +251,7 @@ class Scheduler:
             probe = self.engine.probe
             if probe is not None:
                 probe.on_wake(frame.chare, ev)
-            self.engine.pause(poll).add_callback(
-                lambda _t: self.enqueue(Resume(frame, ev.value, priority))
-            )
+            self.engine.after(poll, lambda _t: self.enqueue(Resume(frame, ev.value, priority)))
 
         event.add_callback(on_fire)
 

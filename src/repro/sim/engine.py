@@ -82,7 +82,7 @@ class Event:
     #: marks events whose unwatched failure must abort the run
     #: (:class:`Process`); ``_poolable`` marks engine-recycled events that
     #: must never be retained past their trigger time (see
-    #: :meth:`Engine.pause`).
+    #: :class:`_PooledEvent`).
     _crashable = False
     _poolable = False
 
@@ -182,9 +182,10 @@ class Timeout(Event):
 
 class _PooledEvent(Event):
     """A recyclable pre-triggered delay, reused through the engine's
-    free-list (see :meth:`Engine.pause`).  Never constructed by user code
-    and never safe to retain after it fires: the run loop resets and
-    recycles the object as soon as its callbacks have run.
+    free-list by :meth:`Engine.after`, the bare-number yield, process
+    start-up and :class:`Latch`.  Never constructed by user code and never
+    safe to retain after it fires: the run loop resets and recycles the
+    object as soon as its callbacks have run.
 
     ``_waiter`` is the single-waiter fast lane used by the bare-number
     yield in :meth:`Process._resume` — one slot store instead of a
@@ -220,7 +221,7 @@ class _ConditionBase(Event):
                 # ``events`` keeps every child past its trigger time (the
                 # sanitizer reads it), which a recycled event must not be.
                 raise SimulationError(
-                    "joins cannot wait on pooled pause() events")
+                    "joins cannot wait on pooled events")
         self._pending = len(self.events)
         if not self._pending:
             self.succeed()
@@ -436,13 +437,13 @@ class Process(Event):
             self._release()
             self.fail(exc)
             return
-        # Monomorphic accept: the dominant yields are bare delays, pooled
-        # pauses and fresh Events; fall back to isinstance otherwise.
+        # Monomorphic accept: the dominant yields are bare delays and
+        # fresh Events; fall back to isinstance otherwise.
         cls = target.__class__
         if cls is float or cls is int:
-            # `yield delay` — shorthand for `yield engine.pause(delay)`,
-            # scheduled identically (one push, one sequence number) but
-            # with the pause inlined: no constructor, no dispatch checks.
+            # `yield delay`: the push `Engine.after(delay, ...)` makes (one
+            # pooled event, one sequence number) with the resume as its
+            # waiter: no constructor, no dispatch checks.
             if target < 0:
                 self._abort(SimulationError(f"cannot schedule into the past (delay={target})"))
                 return
@@ -489,7 +490,7 @@ class Engine:
         #: ``sim.events`` count of ``hostbench/``).
         self.events_executed = 0
         #: Free-list of recycled :class:`_PooledEvent` objects (see
-        #: :meth:`pause`); the run loop returns fired pooled events here.
+        #: :meth:`after`); the run loop returns fired pooled events here.
         self._event_pool: list[_PooledEvent] = []
 
     # -- event construction ------------------------------------------------
@@ -500,33 +501,6 @@ class Engine:
     def timeout(self, delay: float, value: Any = None, name: str = "") -> Timeout:
         """An event triggering ``delay`` after now."""
         return Timeout(self, delay, value=value, name=name)
-
-    def pause(self, delay: float, value: Any = None) -> Event:
-        """A pooled, pre-triggered delay — :meth:`timeout` for the hot
-        create-yield-discard pattern, without a fresh allocation per call.
-
-        Schedules identically to a timeout (one push at ``NORMAL``
-        priority, one sequence number), so swapping ``timeout`` for
-        ``pause`` never changes the event schedule.  The returned object
-        is recycled by the run loop the moment its callbacks finish.
-
-        Contract: wait on it immediately (``yield`` it or
-        ``add_callback``) and never retain a reference past its trigger
-        time.  Joins (:class:`AllOf`) reject pooled events because they
-        keep their children past the children's trigger time.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-        else:
-            event = _PooledEvent(self, name="<pause>")
-        event._state = TRIGGERED
-        event._value = value
-        _heappush(self._heap, (self.now + delay, NORMAL, self._seq, event))
-        self._seq += 1
-        return event
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a new process from ``generator`` at the current time."""

@@ -3,8 +3,7 @@
 Three families:
 
 * :class:`Store` / :class:`PriorityStore` — unbounded producer/consumer
-  message queues (used for scheduler message queues and GPU stream op
-  queues).
+  message queues (used for the schedulers' message queues).
 * :class:`Resource` — a counted resource with priority-ordered waiters (used
   for GPU engines, NIC links, staging-buffer pools).
 * :class:`TokenPool` — a refillable quantity pool (used for bounded staging

@@ -122,6 +122,29 @@ def test_invalid_vranks():
         AmpiWorld(cluster, vranks=0)
 
 
+class YieldsNonCommand:
+    """Rank program valid under both worlds until rank 1 yields a value
+    that is no command."""
+
+    def main(self, msg=None):
+        if self.rank == 1:
+            yield "not a command"
+        yield self.work(0)
+
+
+@pytest.mark.parametrize("world_cls,base", [(MpiWorld, MpiProcess), (AmpiWorld, AmpiProcess)],
+                         ids=["mpi", "ampi"])
+def test_unknown_command_names_the_rank(world_cls, base):
+    """The one interpreter rejects a non-command under either host, naming
+    the rank that yielded it."""
+    eng = Engine()
+    cluster = Cluster(eng, MachineSpec.small_debug(), 1)
+    world = world_cls(cluster)
+    world.launch(type("Rank", (YieldsNonCommand, base), {}))
+    with pytest.raises(SimulationError, match="rank 1 yielded unknown command"):
+        world.run()
+
+
 # ---------------------------------------------------------------------------
 # The AMPI value proposition: blocking waits overlap under virtualization
 # ---------------------------------------------------------------------------

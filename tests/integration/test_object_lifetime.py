@@ -8,8 +8,8 @@ would have had to free lands in ``gc.garbage`` — so the count of
 per-message object types there must not grow with the number of iterations
 (what remains is the machine itself: schedulers, streams and the like,
 freed together at the end of the run), and drivers, latches, transfer
-handles and requests must not be there at all.  UCX tag matching must also
-leave no emptied match queue behind.
+handles and requests (resource and MPI) must not be there at all.  UCX
+tag matching must also leave no emptied match queue behind.
 """
 
 import gc
@@ -22,14 +22,17 @@ from repro.comm import TransferHandle, UcxContext
 from repro.comm.ucx import _Send
 from repro.hardware.graphs import _GraphNode
 from repro.hardware.network import _Transfer
+from repro.mpi.api import Request as MpiRequest
 from repro.sim import Latch, Process
 from repro.sim.resources import Request
 
 PER_MESSAGE_TYPES = {"Process": Process, "Request": Request,
                      "TransferHandle": TransferHandle, "_Transfer": _Transfer,
-                     "_Send": _Send, "_GraphNode": _GraphNode, "Latch": Latch}
+                     "_Send": _Send, "_GraphNode": _GraphNode, "Latch": Latch,
+                     "MpiRequest": MpiRequest}
 #: Per-message types that must never reach the cycle collector at all.
-NEVER_CYCLIC = ("TransferHandle", "Request", "_Transfer", "_Send", "_GraphNode", "Latch")
+NEVER_CYCLIC = ("TransferHandle", "Request", "_Transfer", "_Send", "_GraphNode", "Latch",
+                "MpiRequest")
 
 CONFIGS = {
     "allreduce": lambda k: AllreduceConfig(
@@ -37,6 +40,12 @@ CONFIGS = {
         iterations=k, warmup=1),
     "jacobi3d": lambda k: Jacobi3DConfig(
         version="charm-d", nodes=2, grid=(96, 96, 96), odf=2, iterations=k, warmup=1),
+    # The MPI rank interpreter under both hosts: a chare (AMPI) and a
+    # blocking driver process per PE (MPI).
+    "jacobi3d-ampi": lambda k: Jacobi3DConfig(
+        version="ampi-d", nodes=2, grid=(96, 96, 96), odf=2, iterations=k, warmup=1),
+    "jacobi3d-mpi": lambda k: Jacobi3DConfig(
+        version="mpi-d", nodes=2, grid=(96, 96, 96), iterations=k, warmup=1),
     # Host-staged MPI: every message takes the host rendezvous path.  A
     # factorization has no iteration count, so k scales the tile count.
     "cholesky": lambda k: CholeskyConfig(version="mpi-h", nodes=2, tiles=2 * k, tile=64),

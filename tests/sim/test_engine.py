@@ -187,8 +187,8 @@ def test_yield_non_event_crashes_process():
 
 
 def test_yield_bare_number_pauses():
-    # `yield delay` is shorthand for `yield eng.pause(delay)`: same clock
-    # advance, same resume value (None), ints and floats both accepted.
+    # `yield delay` makes the push `eng.after(delay, fn)` makes: a pooled
+    # delay, resume value None, ints and floats both accepted.
     eng = Engine()
     log = []
 

@@ -1,6 +1,6 @@
 """Seam tests for the fast-dispatch event kernel.
 
-The hot-path refactor (pooled pause events, the bare-number yield, the
+The hot-path refactor (pooled delay events, the bare-number yield, the
 bare/observed run-loop variants, Store handoff fast paths, vectorized
 latency matrices) must be *observably invisible*: same event ordering,
 same values, same trace digests, same ``max_events`` semantics.  Each test
@@ -48,7 +48,7 @@ def test_urgent_beats_normal_at_equal_time():
 
 
 def test_same_time_fifo_across_event_kinds():
-    """Timeout, pause, and the bare-number yield all land at the same
+    """Timeout, after() and the bare-number yield all land at the same
     timestamp with NORMAL priority: the sequence number alone must order
     them, i.e. strictly in creation order regardless of kind."""
     eng = Engine()
@@ -58,9 +58,9 @@ def test_same_time_fifo_across_event_kinds():
         yield 1.0
         fired.append(tag)
 
-    def via_pause(tag):
-        yield eng.pause(1.0)
-        fired.append(tag)
+    def via_after(tag):
+        eng.after(1.0, lambda _ev: fired.append(tag))
+        yield from ()
 
     expected = []
     for i in range(12):
@@ -70,13 +70,13 @@ def test_same_time_fifo_across_event_kinds():
         elif kind == 1:
             eng.process(via_bare(i))
         else:
-            eng.process(via_pause(i))
+            eng.process(via_after(i))
         expected.append(i)
     eng.run()
     # Timeouts take their sequence number at creation (t=0); the processes'
-    # pauses take theirs during the t=0 resume, after every timeout.  So at
+    # delays take theirs during the t=0 resume, after every timeout.  So at
     # t=1 all timeouts fire first in creation order, then the processes in
-    # start order — with bare yields and pause() interleaving purely by
+    # start order — with bare yields and after() interleaving purely by
     # sequence number, never by kind.
     timeouts = [i for i in expected if i % 3 == 0]
     processes = [i for i in expected if i % 3 != 0]
@@ -114,18 +114,27 @@ def test_bare_yield_schedules_identically_to_timeout():
 # ---------------------------------------------------------------------------
 
 
-def test_pause_value_delivered_and_not_leaked():
+def test_recycled_event_value_is_reset():
+    """A failed latch fires a pooled event carrying the child's exception;
+    once recycled, the next handouts (a bare yield, an after()) see no
+    stale value and no stale failure."""
     eng = Engine()
     seen = []
+    bad = eng.event("bad")
+    Latch(eng, [bad], lambda ev: seen.append((ev.ok, ev.value)))
+    boom = RuntimeError("boom")
+    bad.fail(boom)
+    eng.run()
+    assert seen == [(False, boom)]
+    assert len(eng._event_pool) == 1
 
     def proc():
-        seen.append((yield eng.pause(1.0, value="payload")))
-        seen.append((yield eng.pause(1.0)))  # recycled object: value reset
-        seen.append((yield 1.0))  # bare yield: no stale value either
+        seen.append((True, (yield 1.0)))
 
     eng.process(proc())
+    eng.after(2.0, lambda ev: seen.append((ev.ok, ev.value)))
     eng.run()
-    assert seen == ["payload", None, None]
+    assert seen == [(False, boom), (True, None), (True, None)]
 
 
 def test_free_list_stays_bounded_by_in_flight_pauses():
@@ -148,37 +157,44 @@ def test_free_list_stays_bounded_by_in_flight_pauses():
 
 
 def test_pool_survives_interleaved_pause_styles():
-    """pause() handouts and bare-yield handouts draw from the same pool;
-    concurrent chains need at most one pooled event per in-flight pause."""
+    """after() handouts and bare-yield handouts draw from the same pool;
+    concurrent chains need at most one pooled event per in-flight delay."""
     eng = Engine()
 
     def chain(delay):
         for _ in range(50):
             yield delay
 
-    for d in (0.5, 0.75, 1.0):
+    def step(hops):
+        if hops:
+            eng.after(0.6, lambda _ev: step(hops - 1))
+
+    for d in (0.5, 0.75):
         eng.process(chain(d))
+    step(50)
     eng.run()
-    # At most one in-flight pause per chain plus the one being recycled.
+    # At most one in-flight delay per chain plus the one being recycled.
     assert 1 <= len(eng._event_pool) <= 4
     assert all(e._value is None and e._waiter is None for e in eng._event_pool)
 
 
 def test_conditions_reject_pooled_events():
+    """A waiter handed a pooled event cannot join on it."""
     eng = Engine()
+    eng.after(1.0, lambda ev: eng.all_of([ev]))
     with pytest.raises(SimulationError, match="pooled"):
-        eng.all_of([eng.pause(1.0)])
+        eng.run()
 
 
-def test_negative_pause_keeps_the_free_list():
+def test_negative_after_keeps_the_free_list():
     """A rejected delay must not consume a pooled event."""
     eng = Engine()
     for _ in range(2):
-        eng.pause(1.0)
+        eng.after(1.0, lambda _ev: None)
     eng.run()
     assert len(eng._event_pool) == 2
     with pytest.raises(SimulationError, match="past"):
-        eng.pause(-1.0)
+        eng.after(-1.0, lambda _ev: None)
     assert len(eng._event_pool) == 2
 
 
