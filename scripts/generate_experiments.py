@@ -165,7 +165,7 @@ Reproduction inventory (DESIGN.md has the full mapping):
 | IBM Spectrum MPI baseline | `repro.mpi` |
 | Jacobi3D (4 versions, fusion A/B/C, CUDA Graphs, legacy baseline) | `repro.apps.jacobi3d` |
 | Nsight-style profiling | `repro.sim.tracing` (+ Perfetto export) |
-| future work / motivations: AMPI, load balancing, fault tolerance | `repro.ampi`, `runtime/balancer.py`, `runtime/checkpoint.py` |
+| future work / motivations: AMPI, fault tolerance (load balancing is not modeled) | `repro.ampi`, `runtime/checkpoint.py` |
 """
 
 

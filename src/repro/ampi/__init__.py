@@ -7,8 +7,7 @@ PEs", and leaves its exploration as future work.  This subpackage is that
 exploration: the :mod:`repro.mpi` programming surface (``isend``/``irecv``/
 ``waitall``/``sync``/collectives), but each *virtual rank* is a chare on
 the Charm++-like runtime — so a rank blocked in ``MPI_Wait`` yields the PE
-to other ranks instead of spinning, and ranks can be overdecomposed and
-migrated.
+to other ranks instead of spinning, and ranks can be overdecomposed.
 """
 
 from .world import AmpiProcess, AmpiWorld

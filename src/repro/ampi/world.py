@@ -10,12 +10,10 @@ hosted by a chare on the Charm++-like runtime, so:
   computation-communication overlap, no code changes);
 * the number of ranks is decoupled from the number of PEs
   (*virtualization ratio* = ranks per PE, AMPI's +vp option);
-* ranks inherit the runtime's scheduling, priorities and (between phases)
-  migratability.
+* ranks inherit the runtime's scheduling and priorities.
 
-Limitations (faithful to the scope of the paper's future-work remark):
-collectives and point-to-point work across any virtualization ratio, but
-ranks must not migrate while communication is in flight.
+Collectives and point-to-point work across any virtualization ratio.  A
+rank stays on the PE it was placed on (rank migration is out of scope).
 """
 
 from __future__ import annotations
@@ -122,7 +120,7 @@ class AmpiWorld(MpiWorld):
         """Run to completion of every virtual rank (raises on deadlock)."""
         if self._array is None:
             raise SimulationError("launch() before run()")
-        self.runtime.run(max_events=max_events)
+        self._run_ranks(self.runtime.run, max_events)
         if self._finished != self.size:
             raise SimulationError(
                 f"AMPI deadlock: {self.size - self._finished} virtual ranks unfinished"

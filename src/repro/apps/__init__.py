@@ -43,7 +43,6 @@ from .stencil import (
     StencilConfig,
     StencilContext,
     StencilResult,
-    factor_triples,
     factor_tuples,
     partition_dims,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "StencilContext",
     "StencilResult",
     "BlockGeometry",
-    "factor_triples",
     "factor_tuples",
     "partition_dims",
     "VERSIONS",

@@ -16,7 +16,7 @@ from ..registry import AppSpec, register
 from .charm_app import make_cholesky_block_class
 from .config import CholeskyConfig, CholeskyResult
 from .context import CholeskyContext, CholeskyData
-from .ops import generate_spd, reference_cholesky_tiles
+from .ops import generate_spd
 from .phases import CHOLESKY_PHASES, CHOLESKY_PHASE_KERNELS, classify_cholesky_op
 from .rank_program import make_cholesky_rank_program
 
@@ -29,7 +29,6 @@ __all__ = [
     "SPEC",
     "classify_cholesky_op",
     "generate_spd",
-    "reference_cholesky_tiles",
 ]
 
 

@@ -1,8 +1,8 @@
 """Exact-arithmetic tile operations for the tiled Cholesky app.
 
 The differential harness and the DAG property suite demand **bitwise**
-agreement across frontends, overdecomposition factors, the tiled-serial
-reference and ``numpy.linalg.cholesky`` — for a floating-point
+agreement across frontends, overdecomposition factors and
+``numpy.linalg.cholesky`` — for a floating-point
 factorization whose task DAG legitimately reorders work.  The trick is to
 make every intermediate quantity exactly representable, so *any* correct
 summation/elimination order produces the same bits:
@@ -31,7 +31,6 @@ __all__ = [
     "trsm_tile",
     "syrk_update",
     "gemm_update",
-    "reference_cholesky_tiles",
 ]
 
 
@@ -82,23 +81,3 @@ def gemm_update(c: np.ndarray, l_ik: np.ndarray, l_jk: np.ndarray) -> np.ndarray
     """Off-diagonal Schur update ``C - L_ik @ L_jk.T``."""
     return c - l_ik @ l_jk.T
 
-
-def reference_cholesky_tiles(a: np.ndarray, tiles: int, tile: int) -> dict:
-    """Serial tiled right-looking factorization: ``{(i, j): tile}`` for the
-    lower triangle.  The sequential oracle the distributed frontends must
-    match bitwise."""
-
-    def view(i, j):
-        return a[i * tile:(i + 1) * tile, j * tile:(j + 1) * tile]
-
-    a = a.copy()
-    out = {}
-    for k in range(tiles):
-        out[(k, k)] = potrf_tile(view(k, k))
-        for i in range(k + 1, tiles):
-            out[(i, k)] = trsm_tile(out[(k, k)], view(i, k))
-        for j in range(k + 1, tiles):
-            view(j, j)[:] = syrk_update(view(j, j), out[(j, k)])
-            for i in range(j + 1, tiles):
-                view(i, j)[:] = gemm_update(view(i, j), out[(i, k)], out[(j, k)])
-    return out

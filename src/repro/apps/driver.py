@@ -77,19 +77,19 @@ def run_app(
     a checkpoint taken on N nodes restarts cleanly on M nodes whenever
     ``n_blocks`` matches (overdecomposition absorbs the difference).
 
-    ``validate=True`` attaches an :class:`~repro.validate.InvariantChecker`
-    for the whole run and raises :class:`~repro.validate.InvariantError`
+    ``validate=True`` attaches an :class:`~repro.validate.invariants.InvariantChecker`
+    for the whole run and raises :class:`~repro.validate.invariants.InvariantError`
     if any simulation invariant is breached.  Observers are pure: the
     event schedule (and therefore every result) is unchanged.
 
     ``sanitize`` attaches a happens-before concurrency
-    :class:`~repro.sanitize.Sanitizer` (another pure observer — see
+    :class:`~repro.sanitize.sanitizer.Sanitizer` (another pure observer — see
     docs/sanitizer.md).  ``True`` creates one and raises
-    :class:`~repro.sanitize.SanitizerError` on findings; passing a
+    :class:`~repro.sanitize.sanitizer.SanitizerError` on findings; passing a
     ``Sanitizer`` instance attaches it and leaves the findings for the
     caller to inspect (what ``repro sanitize`` does).
 
-    ``observatory`` (an :class:`~repro.obs.Observatory`) attaches a tracer
+    ``observatory`` (an :class:`~repro.obs.report.Observatory`) attaches a tracer
     *and* a metrics registry for perf reporting; pass either it or a bare
     ``tracer``, not both.
 
@@ -118,7 +118,7 @@ def run_app(
         checker.watch_cluster(cluster)
     sanitizer = None
     if sanitize:
-        from ..sanitize import Sanitizer
+        from ..sanitize.sanitizer import Sanitizer
 
         sanitizer = sanitize if isinstance(sanitize, Sanitizer) else Sanitizer()
         sanitizer.attach(engine)

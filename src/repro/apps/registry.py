@@ -93,9 +93,6 @@ class AppSpec:
 
 _REGISTRY: dict[str, AppSpec] = {}
 
-#: The app assumed for config dicts written before the ``app`` field existed.
-DEFAULT_APP = "jacobi3d"
-
 
 def register(spec: AppSpec) -> AppSpec:
     """Register ``spec`` (idempotent for the identical spec; a different
@@ -131,15 +128,13 @@ def spec_for(config) -> AppSpec:
 
 
 def config_from_dict(d: dict) -> object:
-    """Revive a config dict produced by any registered app's ``to_dict``
-    (dicts written before the ``app`` field existed read as
-    :data:`DEFAULT_APP`).
+    """Revive a config dict produced by any registered app's ``to_dict``.
 
-    Raises :class:`KeyError` naming the unknown app and listing the
-    registered names when the dict's ``app`` field matches no registered
-    application (a stale cache entry, a typo in a hand-written dict, or an
-    app package that was not imported)."""
-    name = d.get("app", DEFAULT_APP)
+    Raises :class:`KeyError` naming the field when the dict has no ``app``,
+    and naming the unknown app and listing the registered names when its
+    ``app`` matches no registered application (a stale cache entry, a typo
+    in a hand-written dict, or an app package that was not imported)."""
+    name = d["app"]
     if name not in _REGISTRY:
         raise KeyError(
             f"config dict names unknown app {name!r}; registered apps: "
@@ -151,7 +146,7 @@ def config_from_dict(d: dict) -> object:
 def result_from_dict(d: dict, expected: Optional[AppSpec] = None) -> object:
     """Revive a result dict produced by any registered app's ``to_dict``.
     ``expected`` (optional) asserts the dict belongs to that app."""
-    spec = get_app(d.get("config", {}).get("app", DEFAULT_APP))
+    spec = get_app(d["config"]["app"])
     if expected is not None and spec.name != expected.name:
         raise ValueError(f"result is for app {spec.name!r}, expected {expected.name!r}")
     return spec.result_cls.from_dict(d)

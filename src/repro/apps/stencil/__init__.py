@@ -25,7 +25,7 @@ see ``docs/apps.md``.
 from .charm_app import make_block_class
 from .config import StencilConfig, StencilResult
 from .context import BlockData, StencilContext, default_boundary
-from .geometry import BlockGeometry, factor_triples, factor_tuples, partition_dims
+from .geometry import BlockGeometry, factor_tuples, partition_dims
 from .phases import STENCIL_PHASES, STENCIL_PHASE_KERNELS, classify_stencil_op
 from .rank_program import make_rank_program
 
@@ -36,7 +36,6 @@ __all__ = [
     "BlockData",
     "default_boundary",
     "BlockGeometry",
-    "factor_triples",
     "factor_tuples",
     "partition_dims",
     "STENCIL_PHASES",

@@ -50,13 +50,6 @@ def make_block_class(ctx: StencilContext):
             cfg = ctx.config
             self.data = ctx.block_data(self.index)
             self.gpu.malloc(self.data.device_bytes)
-            self.init_streams()
-            self.update_done = None
-
-        def init_streams(self):
-            """Create per-chare streams/graphs on the current GPU (also used
-            after migration)."""
-            cfg = ctx.config
             # Streams: communication work outranks the bulk update kernel.
             self.comm_stream = self.gpu.create_stream(
                 priority=PRIORITY_COMM, name=f"{self.gpu.name}.comm{self.index}"
@@ -76,6 +69,7 @@ def make_block_class(ctx: StencilContext):
                 priority=PRIORITY_COMPUTE, name=f"{self.gpu.name}.upd{self.index}"
             )
             self.graph_execs = self._build_graphs() if cfg.cuda_graphs else None
+            self.update_done = None
 
         # -- graphs -----------------------------------------------------------
         def _build_graphs(self):
@@ -105,12 +99,7 @@ def make_block_class(ctx: StencilContext):
                 execs.append(g.instantiate(self.gpu))
             return execs
 
-        # -- adaptivity hooks (migration / checkpointing) ----------------------
-        def on_migrate(self):
-            """Re-create device-side state on the new GPU after migration."""
-            self.gpu.malloc(self.data.device_bytes)
-            self.init_streams()
-
+        # -- checkpointing hooks ------------------------------------------------
         def pup(self):
             return self.data.snapshot()
 

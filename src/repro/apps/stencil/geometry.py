@@ -9,7 +9,6 @@ block dims (with remainders spread), neighbours, face sizes, offsets.
 
 Everything is generic over the dimensionality of ``grid`` — the same code
 drives the 3D (paper) and 2D (second registered workload) Jacobi apps.
-:func:`factor_triples` remains as the historical 3D entry point.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Iterator, Optional
 
 from ...kernels.jacobi import faces_for
 
-__all__ = ["factor_tuples", "factor_triples", "partition_dims", "BlockGeometry"]
+__all__ = ["factor_tuples", "partition_dims", "BlockGeometry"]
 
 
 def factor_tuples(n: int, k: int) -> Iterator[tuple]:
@@ -39,11 +38,6 @@ def factor_tuples(n: int, k: int) -> Iterator[tuple]:
             continue
         for rest in factor_tuples(n // a, k - 1):
             yield (a,) + rest
-
-
-def factor_triples(n: int) -> Iterator[tuple]:
-    """All ordered triples ``(a, b, c)`` with ``a*b*c == n``."""
-    return factor_tuples(n, 3)
 
 
 @lru_cache(maxsize=1024)
@@ -180,9 +174,3 @@ class BlockGeometry:
                 if self.neighbor(index, face) is not None:
                     best = max(best, self.face_cells(index, face) * bytes_per_cell)
         return best
-
-    def total_cells(self) -> int:
-        total = 1
-        for g in self.grid:
-            total *= g
-        return total

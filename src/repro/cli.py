@@ -37,7 +37,7 @@ results are bit-identical to serial uncached runs either way.
 ``sanitize``
     Dynamic concurrency analysis (docs/sanitizer.md): runs a canonical
     configuration of every registered app under all frontends with the
-    happens-before :class:`~repro.sanitize.Sanitizer` attached and
+    happens-before :class:`~repro.sanitize.sanitizer.Sanitizer` attached and
     reports races, missing declared dependencies and deadlock cycles.
     ``--strict`` exits nonzero on findings (the CI configuration is
     ``repro sanitize --strict``).
@@ -433,9 +433,10 @@ def _cmd_protocols(_args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    # Imported here: the validate package pulls in the whole app stack,
-    # which the other subcommands do not need at parse time.
-    from .validate import GoldenStore, canonical_configs, run_differential_matrix
+    # Imported here: the differential and golden modules pull in the whole
+    # app stack, which the other subcommands do not need at parse time.
+    from .validate.differential import run_differential_matrix
+    from .validate.golden import GoldenStore, canonical_configs
 
     def progress(label, diff):
         if args.quiet:
@@ -472,7 +473,7 @@ def _cmd_validate(args) -> int:
         else:
             print(f"golden store: {len(configs)} entries clean")
     if args.sanitize:
-        from .sanitize import render_matrix, sanitize_matrix
+        from .sanitize.driver import render_matrix, sanitize_matrix
 
         progress = None if args.quiet else (
             lambda line: print(f"  {line}", file=sys.stderr))
@@ -485,7 +486,7 @@ def _cmd_validate(args) -> int:
 def _cmd_sanitize(args) -> int:
     # Imported here: the sanitizer pulls in the whole app stack, which the
     # other subcommands do not need at parse time.
-    from .sanitize import render_matrix, sanitize_matrix
+    from .sanitize.driver import render_matrix, sanitize_matrix
 
     progress = None if args.quiet else (
         lambda line: print(f"  {line}", file=sys.stderr))
@@ -516,15 +517,15 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_perf(args) -> int:
-    # Imported here: obs pulls the reporting stack the other subcommands
-    # don't need at parse time (mirrors validate/lint lazy imports).
+    # Imported here: the report and diff modules pull the reporting stack
+    # the other subcommands don't need at parse time (mirrors validate/lint).
     import json
     from pathlib import Path
 
-    from .obs import Observatory, compare_perf
+    from .obs.report import Observatory, compare_perf
 
     if args.perf_command == "compare":
-        from .obs import SchemaMismatch, diff_reports
+        from .obs.diff import SchemaMismatch, diff_reports
 
         baseline = json.loads(Path(args.baseline).read_text())
         current = json.loads(Path(args.current).read_text())
@@ -543,7 +544,7 @@ def _cmd_perf(args) -> int:
         return 0 if comparison.ok else 1
 
     if args.perf_command == "diff":
-        from .obs import SchemaMismatch, diff_reports
+        from .obs.diff import SchemaMismatch, diff_reports
 
         try:
             baseline = json.loads(Path(args.baseline).read_text())

@@ -60,7 +60,7 @@ def default_worker(config_dict: dict):
 
 def validating_worker(config_dict: dict):
     """:func:`default_worker` with the invariant checker attached: the run
-    raises :class:`~repro.validate.InvariantError` on any simulation
+    raises :class:`~repro.validate.invariants.InvariantError` on any simulation
     invariant breach instead of returning a silently-wrong result.
     Results are bit-identical to :func:`default_worker`'s (monitors are
     pure observers)."""
@@ -68,10 +68,10 @@ def validating_worker(config_dict: dict):
 
 
 def perf_worker(config_dict: dict):
-    """:func:`default_worker` under an :class:`~repro.obs.Observatory`;
+    """:func:`default_worker` under an :class:`~repro.obs.report.Observatory`;
     returns ``(result, perf_report_dict)`` so the runner can save the
     report next to the cached result."""
-    from ..obs import collect_perf
+    from ..obs.report import collect_perf
 
     result, report = collect_perf(config_from_dict(config_dict))
     return result, report.to_dict()
@@ -79,7 +79,7 @@ def perf_worker(config_dict: dict):
 
 def perf_validating_worker(config_dict: dict):
     """:func:`perf_worker` with the invariant checker attached."""
-    from ..obs import collect_perf
+    from ..obs.report import collect_perf
 
     result, report = collect_perf(config_from_dict(config_dict), validate=True)
     return result, report.to_dict()
@@ -175,7 +175,7 @@ class ParallelRunner:
         therefore the audit.  Ignored when ``worker`` is given.
     perf_dir:
         When set, every *simulated* point runs under an
-        :class:`~repro.obs.Observatory` (:func:`perf_worker`) and its perf
+        :class:`~repro.obs.report.Observatory` (:func:`perf_worker`) and its perf
         report is written to ``perf_dir/<config_key>.perf.json`` — the same
         content-addressed key the result cache uses, so a report sits next
         to its cached result.  Cache hits skip the simulation and keep the

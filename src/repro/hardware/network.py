@@ -108,24 +108,6 @@ class Network:
             return (self._intra_lat + size / self._intra_bw) * self._wire_scale
         return (self.wire_latency(a, b) + size / self._bw) * self._wire_scale
 
-    def uncontended_times(self, src_pes, dst_pes, sizes):
-        """Vectorized :meth:`uncontended_time` over equal-length batches;
-        returns a float64 array, each element bit-identical to the scalar
-        path (same divisions and additions, element-wise)."""
-        import numpy as np
-
-        src = np.asarray(src_pes, dtype=np.int64) // self.pes_per_node
-        dst = np.asarray(dst_pes, dtype=np.int64) // self.pes_per_node
-        size = np.asarray(sizes, dtype=np.float64)
-        matrix = self._lat_matrix
-        if matrix is None:
-            matrix = self._lat_matrix = self.tree.latency_matrix(
-                self.n_nodes, self.spec.node.nic)
-        wire = (np.asarray(matrix)[src, dst] + size / self._bw) * self._wire_scale
-        intra = (self._intra_lat + size / self._intra_bw) * self._wire_scale
-        return np.where(src == dst, intra, wire)
-
-    # -- transfer ------------------------------------------------------------
     def transfer(self, message: Message) -> Event:
         """Move ``message`` across the machine; the returned event triggers
         at delivery (when the last byte reaches the destination node)."""

@@ -1,7 +1,7 @@
 """``repro.lint``: AST-based SDAG-protocol & determinism linter.
 
 The static counterpart of the runtime validation layer
-(docs/validation.md): where the :class:`~repro.validate.InvariantChecker`
+(docs/validation.md): where the :class:`~repro.validate.invariants.InvariantChecker`
 audits a *running* simulation, the linter proves protocol and determinism
 properties of the *source* — before anything runs.  Four rule families
 with stable ``RPL0xx`` codes (catalogue: docs/linting.md):

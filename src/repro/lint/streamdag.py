@@ -1,7 +1,7 @@
 """Stream/DAG-protocol lint rules (RPL030-RPL036).
 
 The static counterpart of the runtime sanitizer (docs/sanitizer.md): where
-the :class:`~repro.sanitize.Sanitizer` proves happens-before properties of
+the :class:`~repro.sanitize.sanitizer.Sanitizer` proves happens-before properties of
 one *run*, these rules catch protocol misuse of the
 :class:`~repro.runtime.taskspace.TaskSpace` ledger and the stream-launch
 DSL that is visible in the *source* — before anything runs.

@@ -233,17 +233,23 @@ class MpiWorld:
         """Run until every rank's ``main`` returns (raises on deadlock)."""
         if not self._procs:
             raise SimulationError("launch() before run()")
-        try:
-            self.engine.run(max_events=max_events)
-        except ProcessCrashed as crash:
-            # Surface the rank's own exception, not the harness wrapper.
-            raise crash.__cause__ from None
+        self._run_ranks(self.engine.run, max_events)
         stuck = [p.name for p in self._procs if not p.triggered]
         if stuck:
             raise SimulationError(f"MPI deadlock: ranks never finished: {stuck}")
         for p in self._procs:
             if not p.ok:
                 raise p.value
+
+    @staticmethod
+    def _run_ranks(run, max_events: Optional[int]) -> None:
+        """Call ``run(max_events=max_events)``; a rank's exception escapes as
+        itself, not as the :class:`ProcessCrashed` of the process hosting
+        it, so a failing rank program raises the same error on every host."""
+        try:
+            run(max_events=max_events)
+        except ProcessCrashed as crash:
+            raise crash.__cause__ from None
 
     def _route(self, src: int, dst: int, tag: Any) -> tuple:
         """UCX source PE, destination PE and tag of a message from rank

@@ -11,7 +11,6 @@ Core pieces:
 """
 
 from .array import ChareArray, ElementProxy, Proxy
-from .balancer import LoadRecorder, RebalanceStats, apply_rebalance, greedy_map, refine_map
 from .channel import Channel
 from .checkpoint import Checkpoint, restore_array, take_checkpoint
 from .chare import Chare, Frame
@@ -31,11 +30,6 @@ __all__ = [
     "Checkpoint",
     "restore_array",
     "take_checkpoint",
-    "LoadRecorder",
-    "RebalanceStats",
-    "apply_rebalance",
-    "greedy_map",
-    "refine_map",
     "ChareArray",
     "ElementProxy",
     "Proxy",

@@ -36,13 +36,10 @@ class Channel:
         self.peer_index = tuple(peer_index)
         if self.peer_index not in self.array.elements:
             raise KeyError(f"no element {self.peer_index} to open a channel to")
+        # An element's PE is fixed for the array's lifetime.
+        self.peer_pe = self.array.mapping[self.peer_index]
         self._send_seq = 0
         self._recv_seq = 0
-
-    @property
-    def peer_pe(self) -> int:
-        # Looked up per operation: the peer may migrate between LB phases.
-        return self.array.mapping[self.peer_index]
 
     @classmethod
     def get(cls, chare, peer_index: tuple) -> "Channel":

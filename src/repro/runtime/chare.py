@@ -1,4 +1,4 @@
-"""Chares: migratable(-in-principle) message-driven objects.
+"""Chares: message-driven objects placed on one PE for their lifetime.
 
 A :class:`Chare` subclass defines *entry methods*:
 

@@ -1,54 +1,13 @@
 """Happens-before concurrency sanitizer (docs/sanitizer.md).
 
-Public surface:
+The package re-exports nothing; import each name from its defining module:
 
-* :class:`Sanitizer` / :class:`SanitizerError` / :class:`Diagnostic` —
-  the vector-clock happens-before engine (:mod:`repro.sanitize.sanitizer`);
+* :mod:`repro.sanitize.sanitizer` — :class:`~repro.sanitize.sanitizer.Sanitizer`,
+  :class:`~repro.sanitize.sanitizer.SanitizerError` and
+  :class:`~repro.sanitize.sanitizer.Diagnostic`, the vector-clock
+  happens-before engine;
 * :mod:`repro.sanitize.faults` — fault injectors proving the detectors
   fire (dropped DAG dependency, skipped wait);
-* :func:`sanitize_matrix` / :func:`render_matrix` — the canonical
-  all-apps × all-frontends runs behind ``repro sanitize``.
-
-Imports are lazy (PEP 562) so ``repro.sanitize`` stays cheap to name from
-the CLI without pulling the whole app stack.
+* :mod:`repro.sanitize.driver` — ``sanitize_matrix``/``render_matrix``, the
+  canonical all-apps × all-frontends runs behind ``repro sanitize``.
 """
-
-from __future__ import annotations
-
-__all__ = [
-    "Diagnostic",
-    "Sanitizer",
-    "SanitizerError",
-    "declared_dep_pairs",
-    "drop_cholesky_dep",
-    "drop_wait",
-    "render_matrix",
-    "sanitize_matrix",
-]
-
-_LAZY = {
-    "Diagnostic": ("repro.sanitize.sanitizer", "Diagnostic"),
-    "Sanitizer": ("repro.sanitize.sanitizer", "Sanitizer"),
-    "SanitizerError": ("repro.sanitize.sanitizer", "SanitizerError"),
-    "declared_dep_pairs": ("repro.sanitize.faults", "declared_dep_pairs"),
-    "drop_cholesky_dep": ("repro.sanitize.faults", "drop_cholesky_dep"),
-    "drop_wait": ("repro.sanitize.faults", "drop_wait"),
-    "render_matrix": ("repro.sanitize.driver", "render_matrix"),
-    "sanitize_matrix": ("repro.sanitize.driver", "sanitize_matrix"),
-}
-
-
-def __getattr__(name):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), attr)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))

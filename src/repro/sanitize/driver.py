@@ -1,7 +1,7 @@
 """Canonical sanitizer runs for the CLI (``repro sanitize``).
 
 One small-but-representative configuration per registered app, executed
-under every frontend with a :class:`~repro.sanitize.Sanitizer` attached.
+under every frontend with a :class:`~repro.sanitize.sanitizer.Sanitizer` attached.
 The expectation is *zero findings everywhere* — the apps self-host clean —
 so the command doubles as the regression gate CI runs (``repro sanitize
 --strict``).

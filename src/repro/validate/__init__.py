@@ -15,71 +15,8 @@ Three layers (docs/validation.md):
 :mod:`~repro.validate.faults` holds test-only fault injectors used to prove
 the checker actually catches violations.
 
-The submodules are loaded lazily (PEP 562): the app drivers import
-:mod:`~repro.validate.invariants` at module level, while the differential
-and golden layers import the app package — resolving attributes on demand
-keeps that from ever becoming an import cycle.
+The package re-exports nothing; import each name from its defining module.
+The app drivers import :mod:`~repro.validate.invariants`, while the
+differential and golden layers import the app package, so naming the
+module keeps that from ever becoming an import cycle.
 """
-
-from __future__ import annotations
-
-from typing import TYPE_CHECKING
-
-_INVARIANTS = ("InvariantChecker", "InvariantError", "Violation")
-_DIFFERENTIAL = (
-    "CaseDiff",
-    "DifferentialReport",
-    "default_base",
-    "default_matrix",
-    "diff_histories",
-    "run_differential_matrix",
-)
-_GOLDEN = (
-    "CANONICAL_CONFIGS",
-    "GoldenStore",
-    "canonical_configs",
-    "default_golden_dir",
-    "golden_entry",
-    "golden_worker",
-    "trace_digest",
-)
-
-__all__ = [*_INVARIANTS, *_DIFFERENTIAL, *_GOLDEN]
-
-if TYPE_CHECKING:  # pragma: no cover - static analysis only
-    from .differential import (
-        CaseDiff,
-        DifferentialReport,
-        default_base,
-        default_matrix,
-        diff_histories,
-        run_differential_matrix,
-    )
-    from .golden import (
-        CANONICAL_CONFIGS,
-        GoldenStore,
-        canonical_configs,
-        default_golden_dir,
-        golden_entry,
-        golden_worker,
-        trace_digest,
-    )
-    from .invariants import InvariantChecker, InvariantError, Violation
-
-
-def __getattr__(name: str):
-    if name in _INVARIANTS:
-        from . import invariants as mod
-    elif name in _DIFFERENTIAL:
-        from . import differential as mod
-    elif name in _GOLDEN:
-        from . import golden as mod
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(mod, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(__all__))

@@ -145,6 +145,30 @@ def test_unknown_command_names_the_rank(world_cls, base):
         world.run()
 
 
+class RaisesInRankOne:
+    """Rank program valid under both worlds until rank 1 raises."""
+
+    def main(self, msg=None):
+        yield self.work(0)
+        if self.rank == 1:
+            raise ValueError("boom in rank 1")
+
+
+@pytest.mark.parametrize("world_cls,base", [(MpiWorld, MpiProcess), (AmpiWorld, AmpiProcess)],
+                         ids=["mpi", "ampi"])
+def test_rank_exception_is_the_same_on_both_hosts(world_cls, base):
+    """A rank's own exception escapes ``run`` unwrapped, whichever process
+    hosts the rank (an MPI rank process or an AMPI PE scheduler)."""
+    eng = Engine()
+    cluster = Cluster(eng, MachineSpec.small_debug(), 1)
+    world = world_cls(cluster)
+    world.launch(type("Rank", (RaisesInRankOne, base), {}))
+    with pytest.raises(ValueError) as excinfo:
+        world.run()
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == "boom in rank 1"
+
+
 # ---------------------------------------------------------------------------
 # The AMPI value proposition: blocking waits overlap under virtualization
 # ---------------------------------------------------------------------------

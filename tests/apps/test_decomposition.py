@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import BlockGeometry, factor_triples, partition_dims
+from repro.apps import BlockGeometry, factor_tuples, partition_dims
 from repro.kernels import FACES, opposite
 
 
 def test_factor_triples_product():
-    triples = list(factor_triples(12))
+    triples = list(factor_tuples(12, 3))
     assert all(a * b * c == 12 for a, b, c in triples)
     assert (1, 1, 12) in triples and (2, 2, 3) in triples
     assert len(set(triples)) == len(triples)
@@ -17,7 +17,7 @@ def test_factor_triples_product():
 
 def test_factor_triples_invalid():
     with pytest.raises(ValueError):
-        list(factor_triples(0))
+        list(factor_tuples(0, 3))
 
 
 def test_partition_minimizes_surface_cube():

@@ -131,10 +131,12 @@ def test_from_dict_rejects_wrong_app():
         Jacobi3DConfig.from_dict(d)
 
 
-def test_config_from_dict_defaults_legacy_dicts_to_jacobi3d():
+def test_config_from_dict_without_app_names_the_missing_field():
     d = Jacobi3DConfig(machine=MACHINE).to_dict()
-    del d["app"]  # a dict written before the app field existed
-    assert type(config_from_dict(d)) is Jacobi3DConfig
+    del d["app"]  # no app to dispatch on: no default is guessed
+    with pytest.raises(KeyError) as excinfo:
+        config_from_dict(d)
+    assert excinfo.value.args == ("app",)
 
 
 def test_result_from_dict_dispatches_and_checks_expectation():

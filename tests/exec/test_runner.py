@@ -151,7 +151,7 @@ def test_perf_dir_saves_report_per_point(tmp_path):
     runner = ParallelRunner(jobs=2, perf_dir=tmp_path / "perf")
     results = runner.run_configs(configs)
 
-    from repro.obs import PerfReport
+    from repro.obs.report import PerfReport
     for config, result in zip(configs, results):
         report = PerfReport.load(tmp_path / "perf"
                                  / f"{config_key(config)}.perf.json")

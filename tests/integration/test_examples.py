@@ -25,7 +25,7 @@ ALL_EXAMPLES = sorted(p.stem for p in EXAMPLES.glob("*.py"))
 
 
 def test_every_example_is_covered_here():
-    assert len(ALL_EXAMPLES) >= 9
+    assert len(ALL_EXAMPLES) >= 8
 
 
 @pytest.mark.parametrize("name", ALL_EXAMPLES)
@@ -46,18 +46,6 @@ def test_fault_tolerance_runs(capsys):
     load("fault_tolerance").main()
     out = capsys.readouterr().out
     assert "bit-identical to an uninterrupted 12-iteration solve: True" in out
-
-
-@pytest.mark.slow
-def test_load_balancing_runs(capsys):
-    load("load_balancing").main()
-    out = capsys.readouterr().out
-    assert "speedup from load balancing" in out
-    # The rebalanced phase must actually be faster.
-    import re
-
-    speedup = float(re.search(r"speedup from load balancing: ([\d.]+)x", out).group(1))
-    assert speedup > 1.2
 
 
 @pytest.mark.slow

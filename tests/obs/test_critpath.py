@@ -4,7 +4,8 @@ acceptance check that the reported path length equals the simulated makespan."""
 import pytest
 
 from repro.apps import Jacobi3DConfig, run_app
-from repro.obs import Observatory, collect_segments, critical_path
+from repro.obs.critpath import collect_segments, critical_path
+from repro.obs.report import Observatory
 
 
 def _assert_tiles(path):

@@ -8,15 +8,15 @@ import pytest
 from repro.apps import Jacobi3DConfig
 from repro.exec import perf_sidecar_reports
 from repro.hardware import MachineSpec
-from repro.obs import (
-    Intervention,
+from repro.obs.diff import (
+    DIFF_SCHEMA,
     SchemaMismatch,
-    apply_to_machine,
-    collect_perf,
     diff_reports,
     diff_sidecar_dirs,
+    ensure_diffable,
 )
-from repro.obs.diff import DIFF_SCHEMA, ensure_diffable
+from repro.obs.report import collect_perf
+from repro.obs.whatif import Intervention, apply_to_machine
 
 
 def _config(machine=None):

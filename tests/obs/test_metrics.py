@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.obs import MetricsRegistry, size_bucket
-from repro.obs.metrics import _OVERFLOW_KEY
+from repro.obs.metrics import _OVERFLOW_KEY, MetricsRegistry, size_bucket
 from repro.sim import Engine
 
 
@@ -227,7 +226,7 @@ def test_overflow_warns_once_per_metric():
 
 
 def test_overflow_total_surfaces_in_summaries():
-    from repro.obs import OVERFLOW_METRIC
+    from repro.obs.metrics import OVERFLOW_METRIC
 
     reg = MetricsRegistry(max_series=1)
     reg.inc("clean")

@@ -6,12 +6,7 @@ import json
 import pytest
 
 from repro.apps import Jacobi3DConfig, run_app
-from repro.obs import (
-    Observatory,
-    PerfReport,
-    collect_perf,
-    compare_perf,
-)
+from repro.obs.report import Observatory, PerfReport, collect_perf, compare_perf
 
 CONFIG = Jacobi3DConfig(version="charm-d", nodes=2, grid=(96, 96, 96),
                         odf=4, iterations=6, warmup=2)

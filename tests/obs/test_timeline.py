@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps import Jacobi3DConfig, run_app
 from repro.apps.stencil import classify_stencil_op
-from repro.obs import (
+from repro.obs.timeline import (
     compute_comm_overlap,
     iteration_boundaries,
     per_iteration_phases,
@@ -143,7 +143,7 @@ def test_per_iteration_phases_windows_partition_the_run():
 
 
 def test_resource_usage_covers_every_resource():
-    from repro.obs import Observatory
+    from repro.obs.report import Observatory
     config = Jacobi3DConfig(version="charm-d", nodes=2, grid=(96, 96, 96),
                             odf=2, iterations=4, warmup=1)
     obs = Observatory()
@@ -163,7 +163,7 @@ def test_compute_comm_overlap_matches_manual_computation():
     config = Jacobi3DConfig(version="charm-d", nodes=2, grid=(96, 96, 96),
                             odf=2, iterations=4, warmup=1)
     from repro.hardware import COMPUTE
-    from repro.obs import Observatory
+    from repro.obs.report import Observatory
     obs = Observatory()
     result = run_app(config, observatory=obs)
     cluster = obs.cluster

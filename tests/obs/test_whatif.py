@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.apps import get_app, spec_for
 from repro.hardware import MachineSpec
-from repro.obs import (
+from repro.obs.whatif import (
     DEFAULT_TOLERANCE,
     Intervention,
     advise_odf,

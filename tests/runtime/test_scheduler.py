@@ -142,8 +142,8 @@ class MixedRefs(Chare):
 
 
 def test_when_takes_oldest_across_refs_and_fifo_within_a_ref():
-    from repro.sanitize import Sanitizer
-    from repro.validate import InvariantChecker
+    from repro.sanitize.sanitizer import Sanitizer
+    from repro.validate.invariants import InvariantChecker
 
     eng, cluster, rt = make_runtime()
     MixedRefs.got = []

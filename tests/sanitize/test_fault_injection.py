@@ -16,7 +16,8 @@ from repro.apps.cholesky import CholeskyConfig
 from repro.hardware import Cluster, KiB, MachineSpec
 from repro.hardware.gpu import COPY_D2H, CopyWork
 from repro.runtime import Chare, CharmRuntime
-from repro.sanitize import Sanitizer, declared_dep_pairs, drop_cholesky_dep, drop_wait
+from repro.sanitize.faults import declared_dep_pairs, drop_cholesky_dep, drop_wait
+from repro.sanitize.sanitizer import Sanitizer
 from repro.sim import Engine, Event
 from repro.sim.errors import SimulationError
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from repro.apps import ALL_VERSIONS, get_app, run_app
 from repro.apps.cholesky import CholeskyConfig
 from repro.hardware import MachineSpec
-from repro.sanitize import Sanitizer, declared_dep_pairs, drop_cholesky_dep
+from repro.sanitize.faults import declared_dep_pairs, drop_cholesky_dep
+from repro.sanitize.sanitizer import Sanitizer
 
 MACHINE = MachineSpec.small_debug()
 SPEC = get_app("cholesky")

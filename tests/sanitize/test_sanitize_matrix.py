@@ -9,7 +9,7 @@ every app keeps a sanitized regression test.
 import pytest
 
 from repro.apps import get_app, run_app
-from repro.sanitize import Sanitizer
+from repro.sanitize.sanitizer import Sanitizer
 from repro.sanitize.driver import SanitizeCase, render_matrix, sanitize_matrix
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.hardware.specs import NicSpec, TopologySpec
 from repro.hardware.topology import FatTree
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.sim import (
     Driver,
     Engine,
@@ -25,7 +25,7 @@ from repro.sim import (
     Store,
 )
 from repro.sim.engine import GC_GEN0_THRESHOLD, NORMAL
-from repro.validate import CANONICAL_CONFIGS, GoldenStore, golden_entry
+from repro.validate.golden import CANONICAL_CONFIGS, GoldenStore, golden_entry
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +578,7 @@ def test_bare_loop_digest_matches_committed_golden(name):
     observationally identical."""
     from repro.apps import run_app
     from repro.sim import Tracer
-    from repro.validate import trace_digest
+    from repro.validate.golden import trace_digest
 
     committed = GoldenStore().load(name)
     assert committed is not None, f"no committed golden entry for {name}"

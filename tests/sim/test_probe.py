@@ -5,10 +5,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.obs import MetricsRegistry
-from repro.sanitize import Sanitizer
+from repro.obs.metrics import MetricsRegistry
+from repro.sanitize.sanitizer import Sanitizer
 from repro.sim import Engine, Event, Probe, SimulationError, Tracer
-from repro.validate import InvariantChecker
+from repro.validate.invariants import InvariantChecker
 
 
 def _run_one_event(eng):

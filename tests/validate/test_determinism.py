@@ -4,8 +4,14 @@ same result) run twice, and under process-pool fan-out."""
 from repro.exec import ParallelRunner
 from repro.hardware import MachineSpec
 from repro.apps import Jacobi3DConfig, run_app
-from repro.obs import Observatory
-from repro.validate import CANONICAL_CONFIGS, GoldenStore, golden_entry, golden_worker, trace_digest
+from repro.obs.report import Observatory
+from repro.validate.golden import (
+    CANONICAL_CONFIGS,
+    GoldenStore,
+    golden_entry,
+    golden_worker,
+    trace_digest,
+)
 
 
 def _configs():

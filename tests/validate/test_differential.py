@@ -7,7 +7,7 @@ import pytest
 
 from repro.apps import Jacobi3DConfig, run_app
 from repro.hardware import MachineSpec
-from repro.validate import (
+from repro.validate.differential import (
     default_base,
     default_matrix,
     diff_histories,
@@ -131,7 +131,7 @@ def test_diff_histories_is_bitwise_not_numeric():
 def test_final_grids_match_serial_reference():
     """The assembled functional grid equals a straight serial integration
     of the same problem (independent of any runtime)."""
-    from repro.apps.decomposition import BlockGeometry
+    from repro.apps.stencil.geometry import BlockGeometry
     from repro.kernels import alloc_block, apply_boundary, hot_top_boundary, jacobi_update
 
     base = BASES[1]  # warmup=0: total_iterations == iterations

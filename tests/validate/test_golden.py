@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.sim import Engine, Tracer
-from repro.validate import (
+from repro.validate.golden import (
     CANONICAL_CONFIGS,
     GoldenStore,
     default_golden_dir,

@@ -6,7 +6,7 @@ import pytest
 from repro.apps import Jacobi3DConfig, run_app
 from repro.hardware import Cluster, CudaEvent, KernelWork, MachineSpec
 from repro.sim import Engine, Resource, SimulationError
-from repro.validate import InvariantChecker, InvariantError
+from repro.validate.invariants import InvariantChecker, InvariantError
 from repro.validate.faults import (
     inject_double_grant,
     inject_lost_message,
