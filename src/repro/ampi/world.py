@@ -92,8 +92,6 @@ class AmpiWorld(MpiWorld):
             self.size = vranks
         if self.size < 1:
             raise ValueError("need at least one virtual rank")
-        # Rank notifications reach the runtime's observers, and vice versa.
-        self._observers = self.runtime._observers
         self._array = None
         self._finished = 0
 
@@ -112,7 +110,7 @@ class AmpiWorld(MpiWorld):
     def _start(self) -> None:
         """Start every rank: one hosting chare each, block-mapped on PEs."""
         self._array = self.runtime.create_array(
-            _make_rank_chare(self), shape=(self.size,), mapping="block", name="ampi"
+            _make_rank_chare(self), shape=(self.size,), name="ampi"
         )
         self._array.broadcast("run")
 

@@ -51,21 +51,6 @@ def make_allreduce_block_class(ctx: AllreduceContext):
                 priority=PRIORITY_COMM, name=f"{self.gpu.name}.h2d{self.index}"
             )
 
-        def _finish_iter(self, engine, t, iter_events):
-            """Notify ``iter_done`` once iterations 0..t have fully drained
-            (chained trigger: fold kernels of iteration t can complete after
-            iteration t+1 was issued, and the metrics collector needs
-            per-unit notifications monotone in ``t``)."""
-            self.data.f_finish_iter(t)
-            if self.iter_trigger is not None:
-                iter_events = [self.iter_trigger, *iter_events]
-            if iter_events:
-                trigger = engine.all_of(iter_events)
-                self.notify_when(trigger, "iter_done", iter=t)
-                self.iter_trigger = trigger
-            else:
-                self.notify("iter_done", iter=t)
-
         def run(self, msg):
             if ctx.config.gpu_aware:
                 yield from self._run_device()
@@ -74,7 +59,6 @@ def make_allreduce_block_class(ctx: AllreduceContext):
 
         # -- host-staging version (charm-h) --------------------------------
         def _run_host(self):
-            engine = self.runtime.engine
             for t in range(ctx.config.total_iterations):
                 self.data.f_begin_iter(t)
                 init = yield self.launch(self.red_stream, ctx.init_work(),
@@ -112,14 +96,14 @@ def make_allreduce_block_class(ctx: AllreduceContext):
                         self.data.f_apply(step.kind, lo, hi, m.payload)
                         seg_ready[(seg, c)] = op.done
                         iter_events.append(op.done)
-                self._finish_iter(engine, t, iter_events)
+                self.data.f_finish_iter(t)
+                self.iter_trigger = ctx.metrics.iter_done_after(
+                    self, t, iter_events, self.iter_trigger)
             if self.iter_trigger is not None:
                 yield self.wait(self.iter_trigger)
-            self.notify("block_done")
 
         # -- GPU-aware version (charm-d, Channel API) ----------------------
         def _run_device(self):
-            engine = self.runtime.engine
             for t in range(ctx.config.total_iterations):
                 self.data.f_begin_iter(t)
                 init = yield self.launch(self.red_stream, ctx.init_work(),
@@ -159,9 +143,10 @@ def make_allreduce_block_class(ctx: AllreduceContext):
                 # iteration reuses the (iter, round, chunk) reference space.
                 for ref in pending_sends:
                     yield self.when("ch_evt", ref=ref)
-                self._finish_iter(engine, t, iter_events)
+                self.data.f_finish_iter(t)
+                self.iter_trigger = ctx.metrics.iter_done_after(
+                    self, t, iter_events, self.iter_trigger)
             if self.iter_trigger is not None:
                 yield self.wait(self.iter_trigger)
-            self.notify("block_done")
 
     return AllreduceUnit

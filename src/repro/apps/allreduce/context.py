@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from ...hardware.gpu import KernelWork
-from ..appbase import FallbackMetrics, ResidualHistory
+from ..appbase import MetricsCollector, ResidualHistory
 from .config import AllreduceConfig
 
 __all__ = ["AllreduceContext", "AllreduceData", "RoundStep"]
@@ -73,7 +73,7 @@ class AllreduceContext:
             self.round_steps = self._ring_rounds()
         else:
             self.round_steps = self._tree_rounds()
-        self.metrics = FallbackMetrics(u_count, warmup=config.warmup)
+        self.metrics = MetricsCollector(u_count, warmup=config.warmup)
         self.residuals = (ResidualHistory(u_count, config.total_iterations)
                           if config.functional else None)
 

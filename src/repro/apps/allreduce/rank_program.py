@@ -114,7 +114,6 @@ def make_allreduce_rank_program(ctx: AllreduceContext):
                     # Typical MPI collective: block until the folds drain.
                     yield self.sync(engine.all_of(iter_events))
                 self.data.f_finish_iter(t)
-                self.notify("iter_done", iter=t)
-            self.notify("block_done")
+                ctx.metrics.iter_done(self, t)
 
     return AllreduceRankProgram

@@ -11,10 +11,9 @@
   contract.  :class:`~repro.apps.stencil.config.StencilResult` subclasses
   it (adding grid assembly), as do the cholesky/allreduce results.
 * :class:`MetricsCollector` / :class:`ResidualHistory` — per-unit
-  iteration timing and the per-iteration exact residual combiner, fed by
-  every app's context.  :class:`FallbackMetrics` is a collector whose
-  period estimate degrades gracefully for runs with a single measured
-  step (e.g. a one-tile Cholesky factorization).
+  iteration reports (the one call a unit makes when it finishes an
+  iteration) and the per-iteration exact residual combiner, fed by every
+  app's context.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "VERSIONS",
     "AppResult",
     "BaseAppConfig",
-    "FallbackMetrics",
     "MetricsCollector",
     "ResidualHistory",
 ]
@@ -86,6 +84,12 @@ class BaseAppConfig:
     def _validate_common(self) -> None:
         if not type(self).APP:
             raise TypeError("BaseAppConfig is abstract: subclasses must set APP")
+        for f in fields(self):
+            # Counts must be plain ints: a float runs deep and fails late, a
+            # bool runs silently under a different cache key.
+            value = getattr(self, f.name)
+            if f.type == "int" and type(value) is not int:
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
         if self.machine is None:
             object.__setattr__(self, "machine", MachineSpec.summit())
         if self.version not in ALL_VERSIONS:
@@ -311,7 +315,13 @@ class ResidualHistory:
 
 
 class MetricsCollector:
-    """Gathers per-unit iteration completion times.
+    """The one place a unit reports "I finished iteration ``it`` now".
+
+    Units call :meth:`iter_done` (or :meth:`iter_done_when` /
+    :meth:`iter_done_after` to report from a GPU completion without a host
+    sync); each report records the unit's period sample and, when a probe
+    is attached, emits ``probe.on_iter_done``.  :func:`~repro.apps.driver.run_app`
+    attaches the collector to the run's engine before any unit starts.
 
     ``warmup_boundary`` is the latest time at which any unit finished the
     last warmup iteration: the measured window is ``[boundary, end]``.
@@ -327,12 +337,17 @@ class MetricsCollector:
         self.warmup_boundary = 0.0
         self.last_iteration: dict[Any, int] = {}
         self._tail_times: dict[Any, deque] = {}
+        self.engine = None
 
-    def on_event(self, name: str, unit, **data) -> None:
-        if name != "iter_done":
-            return
-        it = data["iter"]
-        now = data["now"]
+    def attach(self, engine) -> "MetricsCollector":
+        self.engine = engine
+        return self
+
+    def iter_done(self, unit, it: int) -> None:
+        """``unit`` finished iteration ``it`` at the current simulated time
+        (costs nothing in model time)."""
+        engine = self.engine
+        now = engine.now
         key = getattr(unit, "index", None) or getattr(unit, "rank", None)
         self.last_iteration[key] = it
         if it >= self.warmup:  # warmup iterations never enter the estimate
@@ -342,24 +357,54 @@ class MetricsCollector:
             tail.append(now)
         if self.warmup > 0 and it == self.warmup - 1 and now > self.warmup_boundary:
             self.warmup_boundary = now
+        probe = engine.probe
+        if probe is not None:
+            probe.on_iter_done(unit, it)
+
+    def iter_done_when(self, unit, it: int, trigger) -> None:
+        """Report iteration ``it`` when ``trigger`` fires, without suspending
+        the unit (timestamps a GPU completion while execution stays fully
+        asynchronous)."""
+        trigger.add_callback(lambda _e: self.iter_done(unit, it))
+
+    def iter_done_after(self, unit, it: int, events, chain=None):
+        """Report iteration ``it`` once ``events`` and ``chain`` (the trigger
+        this returned for the unit's previous iteration) have all fired, and
+        return the new chain trigger (``None`` when there was nothing to wait
+        for and the report was immediate).
+
+        Chaining keeps a unit's reports monotone in ``it`` even though an
+        iteration's kernels can drain after the next one was issued."""
+        if chain is not None:
+            events = [chain, *events]
+        if not events:
+            self.iter_done(unit, it)
+            return None
+        trigger = self.engine.all_of(events)
+        self.iter_done_when(unit, it, trigger)
+        return trigger
 
     def time_per_iteration(self, measured_iterations: int) -> float:
         """Steady-state iteration period.
 
         Each unit's period is measured over its own last ``TAIL``
         iterations (self-referencing timestamps, so cross-unit skew does not
-        bias the estimate and startup transients are excluded).
+        bias the estimate and startup transients are excluded).  When no
+        unit recorded two post-warmup completions (a one-iteration run, a
+        single-tile Cholesky) the period falls back to the whole measured
+        window divided by ``measured_iterations``.
         """
         periods = []
         for times in self._tail_times.values():
             if len(times) >= 2:
                 periods.append((times[-1] - times[0]) / (len(times) - 1))
-        if not periods:
-            raise RuntimeError("need at least 2 iterations to estimate a period")
-        # Mean over units: halo coupling locks every unit to the same
-        # long-run rate, and the mean damps per-unit pipeline oscillation
-        # that a max would amplify.
-        return sum(periods) / len(periods)
+        if periods:
+            # Mean over units: halo coupling locks every unit to the same
+            # long-run rate, and the mean damps per-unit pipeline oscillation
+            # that a max would amplify.
+            return sum(periods) / len(periods)
+        window = max(t[-1] for t in self._tail_times.values()) - self.warmup_boundary
+        return window / measured_iterations
 
     def check_complete(self, total_iterations: int) -> None:
         if len(self.last_iteration) != self.n_units:
@@ -369,20 +414,3 @@ class MetricsCollector:
         lagging = {k: v for k, v in self.last_iteration.items() if v != total_iterations - 1}
         if lagging:
             raise RuntimeError(f"units stopped early: {lagging}")
-
-
-class FallbackMetrics(MetricsCollector):
-    """A :class:`MetricsCollector` that degrades gracefully when no unit
-    records two post-warmup completions (a one-step run, e.g. a
-    single-tile Cholesky): the period falls back to the whole measured
-    window divided by the measured step count."""
-
-    def time_per_iteration(self, measured_iterations: int) -> float:
-        try:
-            return super().time_per_iteration(measured_iterations)
-        except RuntimeError:
-            finishes = [t[-1] for t in self._tail_times.values() if t]
-            if not finishes:
-                raise
-            window = max(finishes) - self.warmup_boundary
-            return window / max(1, measured_iterations)

@@ -56,23 +56,6 @@ def make_cholesky_block_class(ctx: CholeskyContext):
         def _stream(self, info):
             return self.panel_stream if info.stream == "panel" else self.update_stream
 
-        def _finish_step(self, engine, k, step_events):
-            """Notify ``iter_done`` once steps 0..k have all completed.
-
-            Chaining the previous step's trigger keeps per-unit iter_done
-            notifications monotone in ``k`` even though step k's kernels can
-            drain after step k+1's were issued (the whole point of running
-            the DAG asynchronously)."""
-            self.data.f_finish_step(k)
-            if self.iter_trigger is not None:
-                step_events = [self.iter_trigger, *step_events]
-            if step_events:
-                trigger = engine.all_of(step_events)
-                self.notify_when(trigger, "iter_done", iter=k)
-                self.iter_trigger = trigger
-            else:
-                self.notify("iter_done", iter=k)
-
         def run(self, msg):
             if ctx.config.gpu_aware:
                 yield from self._run_device()
@@ -129,10 +112,11 @@ def make_cholesky_block_class(ctx: CholeskyContext):
                             for dest in dests:
                                 self.send((dest,), "recvTile", ref=(k, a),
                                           data_bytes=tile_bytes, payload=payload)
-                self._finish_step(engine, k, step_events)
+                self.data.f_finish_step(k)
+                self.iter_trigger = ctx.metrics.iter_done_after(
+                    self, k, step_events, self.iter_trigger)
             if self.iter_trigger is not None:
                 yield self.wait(self.iter_trigger)
-            self.notify("block_done")
 
         # -- GPU-aware version (charm-d, Channel API) ----------------------
         def _run_device(self):
@@ -185,9 +169,10 @@ def make_cholesky_block_class(ctx: CholeskyContext):
                 # step (Channel-API contract: no dangling mailboxes).
                 for ref in pending_sends:
                     yield self.when("ch_evt", ref=ref)
-                self._finish_step(engine, k, step_events)
+                self.data.f_finish_step(k)
+                self.iter_trigger = ctx.metrics.iter_done_after(
+                    self, k, step_events, self.iter_trigger)
             if self.iter_trigger is not None:
                 yield self.wait(self.iter_trigger)
-            self.notify("block_done")
 
     return CholeskyUnit

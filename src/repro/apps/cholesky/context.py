@@ -25,7 +25,7 @@ import numpy as np
 
 from ...hardware.gpu import KernelWork
 from ...runtime.taskspace import TaskSpace
-from ..appbase import FallbackMetrics, ResidualHistory
+from ..appbase import MetricsCollector, ResidualHistory
 from .config import CholeskyConfig
 from .ops import gemm_update, generate_spd, potrf_tile, syrk_update, trsm_tile
 
@@ -111,7 +111,7 @@ class CholeskyContext:
             self.unit_tiles[self.owner[tl]].append(tl)
         self.tasks = TaskSpace(name="cholesky")
         self.plan = [self._plan_step(k) for k in range(t)]
-        self.metrics = FallbackMetrics(u_count, warmup=0)
+        self.metrics = MetricsCollector(u_count, warmup=0)
         self.residuals = (ResidualHistory(u_count, t) if config.functional else None)
         if config.functional:
             self.matrix, self.expected_factor = generate_spd(config.n, config.seed)

@@ -129,7 +129,6 @@ def make_cholesky_rank_program(ctx: CholeskyContext):
                     # Typical MPI GPU app: block until the step's kernels end.
                     yield self.sync(engine.all_of(step_events))
                 self.data.f_finish_step(k)
-                self.notify("iter_done", iter=k)
-            self.notify("block_done")
+                ctx.metrics.iter_done(self, k)
 
     return CholeskyRankProgram

@@ -127,15 +127,7 @@ def run_app(
         context_out.append(ctx)
     if context_hook is not None:
         context_hook(ctx)
-    metrics = ctx.metrics
-
-    def observer(name, unit, **data):
-        metrics.on_event(name, unit, now=engine.now, **data)
-        if name == "iter_done":
-            probe = engine.probe
-            if probe is not None:
-                probe.on_iter_done(unit, data["iter"])
-
+    metrics = ctx.metrics.attach(engine)
     if config.is_charm:
         frontend = runtime = CharmRuntime(cluster)
     elif config.is_ampi:
@@ -143,11 +135,9 @@ def run_app(
         runtime = frontend.runtime
     else:
         frontend, runtime = MpiWorld(cluster), None
-    frontend.observe(observer)
     if config.is_charm:
-        array = runtime.create_array(
-            spec.make_block_class(ctx), shape=ctx.shape, mapping="block", name=spec.name
-        )
+        array = runtime.create_array(spec.make_block_class(ctx), shape=ctx.shape,
+                                     name=spec.name)
         array.broadcast("run")
         units = array.elements.values()
     else:

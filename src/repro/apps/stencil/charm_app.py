@@ -171,9 +171,8 @@ def make_block_class(ctx: StencilContext):
                 if cfg.legacy_sync:
                     # The redundant second sync the optimization removed.
                     yield self.wait(self.update_done)
-                self.notify_when(self.update_done, "iter_done", iter=it)
+                ctx.metrics.iter_done_when(self, it, self.update_done)
             yield self.wait(self.update_done)
-            self.notify("block_done")
 
         # -- GPU-aware version (Charm-D, Channel API) ----------------------------------
         def _run_device(self):
@@ -263,9 +262,8 @@ def make_block_class(ctx: StencilContext):
                     )
                     self.update_done = upd.done
                 d.f_update()
-                self.notify_when(self.update_done, "iter_done", iter=it)
+                ctx.metrics.iter_done_when(self, it, self.update_done)
             yield self.wait(self.update_done)
-            self.notify("block_done")
 
         def _initial_packs(self):
             """Iteration-0 halo production for fused/graph modes."""

@@ -84,8 +84,9 @@ class StencilConfig(BaseAppConfig):
         self._validate_common()
         object.__setattr__(self, "grid", tuple(self.grid))
         object.__setattr__(self, "fusion", FusionStrategy.parse(self.fusion))
-        if len(self.grid) != type(self).NDIM or any(g < 1 for g in self.grid):
-            raise ValueError(f"bad grid {self.grid}")
+        if len(self.grid) != type(self).NDIM or any(
+                type(g) is not int or g < 1 for g in self.grid):
+            raise ValueError(f"bad grid {self.grid}: need {type(self).NDIM} ints >= 1")
         if self.iterations < 1 or self.warmup < 0:
             raise ValueError("need iterations >= 1 and warmup >= 0")
         if self.fusion is not FusionStrategy.NONE and self.version != "charm-d":

@@ -145,7 +145,6 @@ def make_rank_program(ctx: StencilContext):
                 d.f_update()
                 # Typical MPI GPU app: block until the update finishes.
                 yield self.sync(self.update_done)
-                self.notify("iter_done", iter=it)
-            self.notify("block_done")
+                ctx.metrics.iter_done(self, it)
 
     return RankProgram

@@ -7,19 +7,13 @@ nobody ever fills deadlocks the chare.  Both only surface at runtime (if
 at all — a dropped deposit may just skew the schedule).  This module
 matches **producers** against **consumers** over the whole linted tree:
 
-producers (strong — checked by RPL010)
+producers (checked by RPL010)
     ``self.send(idx, "m", ...)``, ``array.send(sender, idx, "m", ...)``,
-    ``self.gpu_send(idx, "m", ...)``, ``proxy.broadcast("m")``,
+    ``self.gpu_send(idx, "m", ...)``, ``array.broadcast("m")``,
     ``array.inject(idx, "m")``, channel ``send``/``recv`` (explicit
     ``mailbox=`` or the ``ch_send``/``ch_recv`` defaults on receivers
     traced to ``channel_to``), and literal ``EntryMessage(method="m")``
     constructions.
-
-producers (weak — satisfy RPL011 only)
-    Proxy-sugar invocations whose receiver is a subscript or call
-    (``array[idx].m(...)``, ``array.proxy(i, j).m(...)``): the runtime
-    builds these dynamically, so they count as senders but are too
-    pattern-shaped to *assert* a consumer exists for them.
 
 consumers
     ``self.when("m", ...)`` sites, plus every method defined on a
@@ -53,8 +47,7 @@ class FlowModel:
     """Producers/consumers harvested from one file."""
 
     consumers: list[_Site] = field(default_factory=list)
-    strong_producers: list[_Site] = field(default_factory=list)
-    weak_names: set[str] = field(default_factory=set)
+    producers: list[_Site] = field(default_factory=list)
 
 
 def _literal_pos(call: ast.Call, index: int) -> Optional[str]:
@@ -123,7 +116,7 @@ def collect_flow(tree: ast.Module) -> FlowModel:
             if func.id == "EntryMessage":
                 name = _literal_kw(node, "method")
                 if name:
-                    flow.strong_producers.append(site(name, node))
+                    flow.producers.append(site(name, node))
             continue
         if not isinstance(func, ast.Attribute):
             continue
@@ -136,31 +129,27 @@ def collect_flow(tree: ast.Module) -> FlowModel:
             name = (_literal_kw(node, "mailbox") or _literal_kw(node, "method")
                     or _literal_pos(node, 1) or _literal_pos(node, 2))
             if name:
-                flow.strong_producers.append(site(name, node))
+                flow.producers.append(site(name, node))
             elif receiver_is_channel(func.value):
-                flow.strong_producers.append(site("ch_send", node))
+                flow.producers.append(site("ch_send", node))
         elif attr == "recv":
             name = _literal_kw(node, "mailbox")
             if name:
-                flow.strong_producers.append(site(name, node))
+                flow.producers.append(site(name, node))
             elif receiver_is_channel(func.value):
-                flow.strong_producers.append(site("ch_recv", node))
+                flow.producers.append(site("ch_recv", node))
         elif attr == "gpu_send":
             name = _literal_kw(node, "method") or _literal_pos(node, 1)
             if name:
-                flow.strong_producers.append(site(name, node))
+                flow.producers.append(site(name, node))
         elif attr == "broadcast":
             name = _literal_kw(node, "method") or _literal_pos(node, 0)
             if name:
-                flow.strong_producers.append(site(name, node))
+                flow.producers.append(site(name, node))
         elif attr == "inject":
             name = _literal_kw(node, "method") or _literal_pos(node, 1)
             if name:
-                flow.strong_producers.append(site(name, node))
-        elif isinstance(func.value, (ast.Subscript, ast.Call)):
-            # Proxy sugar: array[idx].m(...) / array.proxy(i, j).m(...)
-            if not attr.startswith("_"):
-                flow.weak_names.add(attr)
+                flow.producers.append(site(name, node))
     return flow
 
 
@@ -169,14 +158,12 @@ def resolve_messageflow(flows: dict[str, FlowModel], entry_defs: set,
     """Match producers to consumers across every linted file."""
     allow = set(allowlist)
     when_names = {c.name for path, f in flows.items() for c in f.consumers}
-    produced = {p.name for path, f in flows.items() for p in f.strong_producers}
-    for flow in flows.values():
-        produced |= flow.weak_names
+    produced = {p.name for path, f in flows.items() for p in f.producers}
 
     findings: list[Finding] = []
     consumable = when_names | entry_defs | allow
     for path, flow in flows.items():
-        for producer in flow.strong_producers:
+        for producer in flow.producers:
             if producer.name not in consumable:
                 findings.append(Finding(
                     path, producer.line, producer.col, "RPL010",

@@ -196,10 +196,6 @@ class MpiProcess(ComputeCommands):
             mask <<= 1
         return acc
 
-    def notify(self, event: str, **data) -> None:
-        """Report an application event to world observers (free)."""
-        self.world._notify(event, self, **data)
-
 
 class MpiWorld:
     """All ranks of one MPI job (one rank per PE)."""
@@ -212,7 +208,6 @@ class MpiWorld:
         self.ucx = ucx or UcxContext(cluster)
         self.size = cluster.n_pes
         self.ranks: list[MpiProcess] = []
-        self._observers: list[Callable] = []
         self._procs = []
 
     def launch(self, process_cls, **kwargs) -> list[MpiProcess]:
@@ -357,11 +352,3 @@ class MpiWorld:
                     probe.on_launch_issue(proc, value)
             elif isinstance(cmd, LaunchGraph):
                 value = cmd.exec.launch(priority=cmd.priority, after=list(cmd.after))
-
-    # -- observers -------------------------------------------------------------------
-    def observe(self, fn: Callable) -> None:
-        self._observers.append(fn)
-
-    def _notify(self, event: str, proc: MpiProcess, **data) -> None:
-        for fn in self._observers:
-            fn(event, proc, **data)

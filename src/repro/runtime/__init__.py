@@ -10,14 +10,14 @@ Core pieces:
 * :class:`RuntimeCosts`, :class:`MsgPriority` — overhead calibration.
 """
 
-from .array import ChareArray, ElementProxy, Proxy
+from .array import ChareArray
 from .channel import Channel
 from .checkpoint import Checkpoint, restore_array, take_checkpoint
 from .chare import Chare, Frame
 from .commands import Await, Launch, LaunchGraph, When, Work
 from .costs import MsgPriority, RuntimeCosts
 from .gpu_messaging import gpu_message_send, install_gm_post
-from .mapping import all_indices, block_map, linearize, make_mapping, round_robin_map
+from .mapping import all_indices, block_map, linearize
 from .messages import EntryMessage, Resume
 from .reductions import REDUCERS, ReductionManager
 from .runtime import CharmRuntime
@@ -31,8 +31,6 @@ __all__ = [
     "restore_array",
     "take_checkpoint",
     "ChareArray",
-    "ElementProxy",
-    "Proxy",
     "Channel",
     "Chare",
     "Frame",
@@ -48,8 +46,6 @@ __all__ = [
     "all_indices",
     "block_map",
     "linearize",
-    "make_mapping",
-    "round_robin_map",
     "EntryMessage",
     "Resume",
     "REDUCERS",

@@ -1,9 +1,9 @@
-"""Chare arrays and proxies.
+"""Chare arrays.
 
 A :class:`ChareArray` is an indexed collection of chares distributed over
 the PEs by a mapping (see :mod:`repro.runtime.mapping`).  Invoking an entry
-method through the array (or the sugar :class:`Proxy`) becomes an
-asynchronous :class:`~repro.runtime.messages.EntryMessage`:
+method through the array becomes an asynchronous
+:class:`~repro.runtime.messages.EntryMessage`:
 
 * same-PE destinations are enqueued locally after a tiny delivery delay;
 * remote destinations ride the simulated network with an envelope, paying
@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from ..hardware.network import Message as NetMessage
 from .costs import MsgPriority
-from .mapping import all_indices, make_mapping
+from .mapping import all_indices
 from .messages import EntryMessage
 
-__all__ = ["ChareArray", "Proxy", "ElementProxy"]
+__all__ = ["ChareArray"]
 
 
 class ChareArray:
@@ -37,13 +36,6 @@ class ChareArray:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __getitem__(self, index) -> "ElementProxy":
-        return Proxy(self)[index]
-
-    @property
-    def proxy(self) -> "Proxy":
-        return Proxy(self)
 
     def element(self, index):
         return self.elements[tuple(index)]
@@ -102,54 +94,6 @@ class ChareArray:
         self.runtime.scheduler_of(self.mapping[index]).enqueue(msg)
 
     def broadcast(self, method: str, payload: Any = None) -> None:
-        """Invoke ``method`` on every element (like ``proxy.run()``)."""
+        """Invoke ``method`` on every element (like ``thisProxy.run()``)."""
         for idx in self.elements:
             self.inject(idx, method, payload=payload)
-
-
-class Proxy:
-    """Sugar: ``array.proxy[(0,0,1)].recvHalo(ref=3, data_bytes=...)``.
-
-    Element attribute calls map to :meth:`ChareArray.inject` (external,
-    cost-free) unless a ``sender`` chare is given, in which case the send is
-    charged to that chare's PE like any entry-method invocation.
-    """
-
-    def __init__(self, array: ChareArray, sender=None):
-        self._array = array
-        self._sender = sender
-
-    def __getitem__(self, index) -> "ElementProxy":
-        return ElementProxy(self._array, tuple(index), self._sender)
-
-    def __call__(self, *index) -> "ElementProxy":
-        return ElementProxy(self._array, tuple(index), self._sender)
-
-    def from_chare(self, sender) -> "Proxy":
-        return Proxy(self._array, sender)
-
-    def broadcast(self, method: str, payload: Any = None) -> None:
-        self._array.broadcast(method, payload=payload)
-
-
-class ElementProxy:
-    """One element of a proxy; attribute access yields an async invoker."""
-
-    def __init__(self, array: ChareArray, index: tuple, sender=None):
-        self._array = array
-        self._index = index
-        self._sender = sender
-
-    def __getattr__(self, method: str):
-        if method.startswith("_"):
-            raise AttributeError(method)
-
-        def invoke(ref=None, payload=None, data_bytes=0, priority=MsgPriority.HALO_DATA):
-            if self._sender is None:
-                self._array.inject(self._index, method, ref=ref, payload=payload,
-                                   data_bytes=data_bytes)
-            else:
-                self._array.send(self._sender, self._index, method, ref=ref,
-                                 payload=payload, data_bytes=data_bytes, priority=priority)
-
-        return invoke

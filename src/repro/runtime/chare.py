@@ -131,17 +131,6 @@ class Chare(ComputeCommands):
         """Account CPU time from a *plain* entry method (no yield needed)."""
         self.runtime.scheduler_of(self.pe.index).add_charge(seconds)
 
-    def notify(self, event: str, **data) -> None:
-        """Report an application-level event to registered observers
-        (timing instrumentation; costs nothing in model time)."""
-        self.runtime._notify(event, self, **data)
-
-    def notify_when(self, trigger: Event, event: str, **data) -> None:
-        """Notify observers when ``trigger`` fires, without suspending the
-        chare (used to timestamp GPU completions accurately while keeping
-        execution fully asynchronous)."""
-        trigger.add_callback(lambda _e: self.runtime._notify(event, self, **data))
-
     # -- collectives ----------------------------------------------------------
     def allreduce(self, value, op: str = "sum"):
         """Array-wide allreduce; use as ``result = yield from self.allreduce(x)``.

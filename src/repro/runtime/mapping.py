@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-__all__ = ["linearize", "delinearize", "all_indices", "block_map", "round_robin_map",
-           "make_mapping"]
+__all__ = ["linearize", "delinearize", "all_indices", "block_map"]
 
 
 def all_indices(shape: Sequence[int]) -> list[tuple]:
@@ -68,19 +67,3 @@ def block_map(shape: Sequence[int], n_pes: int) -> dict[tuple, int]:
         mapping[idx] = pe
         used += 1
     return mapping
-
-
-def round_robin_map(shape: Sequence[int], n_pes: int) -> dict[tuple, int]:
-    """Cyclic mapping — pessimal locality, useful as an ablation baseline."""
-    if n_pes < 1:
-        raise ValueError("need at least one PE")
-    return {idx: linearize(idx, shape) % n_pes for idx in all_indices(shape)}
-
-
-def make_mapping(kind: str, shape: Sequence[int], n_pes: int) -> dict[tuple, int]:
-    """Mapping factory: ``"block"`` (default) or ``"round_robin"``."""
-    if kind == "block":
-        return block_map(shape, n_pes)
-    if kind == "round_robin":
-        return round_robin_map(shape, n_pes)
-    raise ValueError(f"unknown mapping kind {kind!r}")

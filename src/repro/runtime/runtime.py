@@ -18,14 +18,14 @@ per-frame diagnostics (which ``when``/event each stuck chare awaits).
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..comm import UcxContext
 from ..hardware import Cluster
 from ..sim import SimulationError
 from .array import ChareArray
 from .costs import RuntimeCosts
-from .mapping import make_mapping
+from .mapping import block_map
 from .messages import EntryMessage
 from .reductions import ReductionManager
 from .scheduler import Scheduler
@@ -49,7 +49,6 @@ class CharmRuntime:
         self.schedulers = [Scheduler(self, pe) for pe in cluster.all_pes()]
         self.reductions = ReductionManager(self)
         self._arrays: dict[int, ChareArray] = {}
-        self._observers: list[Callable] = []
         self._live_frames = 0
         self._frames_ever = 0
         self._stuck: list = []
@@ -66,13 +65,14 @@ class CharmRuntime:
         self,
         chare_cls,
         shape: Sequence[int],
-        mapping: str | dict = "block",
+        mapping: Optional[dict] = None,
         name: str = "",
     ) -> ChareArray:
-        """Create a chare array over all PEs (like ``ckNew``)."""
+        """Create a chare array over all PEs (like ``ckNew``); ``mapping``
+        (index -> PE) defaults to :func:`~repro.runtime.mapping.block_map`."""
         array_id = len(self._arrays)
-        if isinstance(mapping, str):
-            mapping = make_mapping(mapping, shape, self.cluster.n_pes)
+        if mapping is None:
+            mapping = block_map(shape, self.cluster.n_pes)
         array = ChareArray(self, array_id, chare_cls, shape, mapping, name=name)
         self._arrays[array_id] = array
         return array
@@ -150,15 +150,6 @@ class CharmRuntime:
             raise SimulationError(
                 f"deadlock: {self._live_frames} unfinished frames after quiescence:\n{detail}"
             )
-
-    # -- observers -------------------------------------------------------------------
-    def observe(self, fn: Callable) -> None:
-        """Register ``fn(event_name, chare, **data)`` for app notifications."""
-        self._observers.append(fn)
-
-    def _notify(self, event: str, chare, **data) -> None:
-        for fn in self._observers:
-            fn(event, chare, **data)
 
     # -- stats ------------------------------------------------------------------------
     def total_messages_processed(self) -> int:

@@ -176,13 +176,16 @@ def test_rank_exception_is_the_same_on_both_hosts(world_cls, base):
 
 class GpuWaiter:
     """Rank program valid under both MPI and AMPI worlds: launch a 2 ms
-    kernel and block on it; with virtualization the blocks overlap."""
+    kernel and block on it; with virtualization the blocks overlap.
+    Each rank records when its sync returned in ``done_at``."""
+
+    done_at = []
 
     def main(self, msg=None):
         stream = self.gpu.create_stream(priority=10)
         op = yield self.launch(stream, KernelWork(bytes_moved=780e9 * 2e-3))
         yield self.sync(op.done)
-        self.notify("done", t=self.world.engine.now)
+        GpuWaiter.done_at.append((self.rank, self.world.engine.now))
 
 
 class MpiGpuWaiter(GpuWaiter, MpiProcess):
@@ -196,11 +199,13 @@ class AmpiGpuWaiter(GpuWaiter, AmpiProcess):
 def test_ampi_blocking_sync_frees_the_pe():
     """Under plain MPI a rank spins during sync; under AMPI the chare
     suspends, so the PE stays nearly idle — measurably."""
+    GpuWaiter.done_at = []
     eng1 = Engine()
     c1 = Cluster(eng1, MachineSpec.small_debug(), 1)
     w1 = MpiWorld(c1)
     w1.launch(MpiGpuWaiter)
     w1.run()
+    assert sorted(r for r, _t in GpuWaiter.done_at) == [0, 1]
     # The spin window lands on the captive-core tracker (pe.blocked).
     mpi_pe_busy = sum(pe.blocked.busy_seconds() for pe in c1.all_pes())
 
@@ -218,8 +223,11 @@ def test_ampi_blocking_sync_frees_the_pe():
 def test_ampi_overlap_with_virtualization():
     """4 virtual ranks on 2 GPUs: kernels pipeline, blocking syncs overlap;
     total time approaches 2 kernels' worth per GPU, not 4 serial blocks."""
+    GpuWaiter.done_at = []
     eng, cluster, world = make_world(n_nodes=1, vranks=4)
     world.launch(AmpiGpuWaiter)
     world.run()
     # 2 GPUs x 2 kernels of 2 ms: ideal ~4 ms; far below 4 serial = 8 ms.
     assert eng.now < 5e-3
+    assert sorted(r for r, _t in GpuWaiter.done_at) == [0, 1, 2, 3]
+    assert max(t for _r, t in GpuWaiter.done_at) < 5e-3

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.apps import Jacobi3DConfig
+from repro.apps import (
+    AllreduceConfig,
+    CholeskyConfig,
+    Jacobi2DConfig,
+    Jacobi3DConfig,
+    StencilConfig,
+)
 from repro.hardware import MachineSpec
 from repro.kernels import FusionStrategy
 
@@ -73,6 +79,30 @@ def test_bad_numbers_rejected():
         base(grid=(0, 4, 4))
     with pytest.raises(ValueError):
         base(data_mode="imaginary")
+
+
+@pytest.mark.parametrize("config_cls,field,value", [
+    (Jacobi3DConfig, "iterations", 2.5),
+    (Jacobi3DConfig, "warmup", 1.0),
+    (Jacobi3DConfig, "nodes", 1.5),
+    (Jacobi3DConfig, "nodes", True),
+    (Jacobi3DConfig, "odf", 1.5),
+    (Jacobi3DConfig, "grid", (48.5, 48, 48)),
+    (Jacobi2DConfig, "grid", (96, True)),
+    (CholeskyConfig, "tiles", 2.5),
+    (CholeskyConfig, "tile", "64"),
+    (AllreduceConfig, "chunks", 1.5),
+    (AllreduceConfig, "elements", 4096.0),
+])
+def test_count_fields_must_be_plain_ints(config_cls, field, value):
+    """A float runs deep and fails late, a bool runs under another cache key:
+    both are rejected up front, naming the field."""
+    kw = {"nodes": 1}
+    if issubclass(config_cls, StencilConfig):
+        kw["grid"] = (48,) * config_cls.NDIM
+    kw[field] = value
+    with pytest.raises(ValueError, match=field):
+        config_cls(**kw)
 
 
 def test_derived_counts():

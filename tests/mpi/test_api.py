@@ -173,22 +173,23 @@ def test_allreduce_custom_op():
 
 
 class GpuRank(MpiProcess):
+    events = []
+
     def init(self):
         self.stream = self.gpu.create_stream(priority=10)
 
     def main(self, msg=None):
         op = yield self.launch(self.stream, KernelWork(bytes_moved=780e9 * 0.001))
         yield self.sync(op.done)
-        self.notify("kernel_done")
+        GpuRank.events.append(("kernel_done", self.rank))
 
 
 def test_gpu_launch_and_blocking_sync():
     eng, cluster, world = make_world(n_nodes=1)
-    events = []
-    world.observe(lambda name, proc, **d: events.append((name, proc.rank)))
+    GpuRank.events = []
     world.launch(GpuRank)
     world.run()
-    assert sorted(events) == [("kernel_done", 0), ("kernel_done", 1)]
+    assert sorted(GpuRank.events) == [("kernel_done", 0), ("kernel_done", 1)]
     assert eng.now >= 0.001
 
 

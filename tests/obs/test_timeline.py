@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import Jacobi3DConfig, run_app
+from repro.apps import ALL_VERSIONS, AllreduceConfig, CholeskyConfig, Jacobi3DConfig, run_app
 from repro.apps.stencil import classify_stencil_op
 from repro.obs.timeline import (
     compute_comm_overlap,
@@ -116,6 +116,28 @@ def test_iteration_boundaries_take_latest_unit_per_iteration():
     eng.process(mark())
     eng.run()
     assert iteration_boundaries(tracer) == [1.5, 2.5]
+
+
+@pytest.mark.parametrize("version", ALL_VERSIONS)
+@pytest.mark.parametrize("make_config", [
+    lambda v: Jacobi3DConfig(version=v, nodes=1, grid=(48, 48, 48), iterations=2),
+    lambda v: CholeskyConfig(version=v, nodes=1, tiles=3, tile=16),
+    lambda v: AllreduceConfig(version=v, nodes=1, elements=1 << 10, chunks=2,
+                              iterations=2),
+], ids=["jacobi3d", "cholesky", "allreduce"])
+def test_every_unit_reports_every_iteration_once(make_config, version):
+    """Each unit's iteration reports reach the probe bus exactly once per
+    iteration, in iteration order, on every frontend."""
+    config = make_config(version)
+    if not config.is_mpi:
+        config = config.with_(odf=2)
+    tracer = Tracer(categories=["app."])
+    run_app(config, tracer=tracer)
+    per_unit = {}
+    for rec in tracer.select(category="app.iter_done"):
+        per_unit.setdefault(rec.actor, []).append(rec.data["iter"])
+    assert len(per_unit) == config.n_blocks()
+    assert all(its == list(range(config.total_iterations)) for its in per_unit.values())
 
 
 def test_per_iteration_phases_empty_without_markers():

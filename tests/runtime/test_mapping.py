@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import all_indices, block_map, linearize, make_mapping, round_robin_map
+from repro.runtime import all_indices, block_map, linearize
 
 
 def test_all_indices_order_and_count():
@@ -41,33 +41,18 @@ def test_block_map_remainders_spread():
     assert sorted(loads) == [2, 2, 3]
 
 
-def test_round_robin_map_cycles():
-    m = round_robin_map((6,), 3)
-    assert [m[(i,)] for i in range(6)] == [0, 1, 2, 0, 1, 2]
-
-
-def test_make_mapping_factory():
-    assert make_mapping("block", (4,), 2) == block_map((4,), 2)
-    assert make_mapping("round_robin", (4,), 2) == round_robin_map((4,), 2)
-    with pytest.raises(ValueError):
-        make_mapping("magic", (4,), 2)
-
-
 def test_invalid_pe_count():
     with pytest.raises(ValueError):
         block_map((4,), 0)
-    with pytest.raises(ValueError):
-        round_robin_map((4,), 0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     shape=st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
     n_pes=st.integers(1, 12),
-    kind=st.sampled_from(["block", "round_robin"]),
 )
-def test_property_every_chare_mapped_exactly_once_and_balanced(shape, n_pes, kind):
-    m = make_mapping(kind, shape, n_pes)
+def test_property_every_chare_mapped_exactly_once_and_balanced(shape, n_pes):
+    m = block_map(shape, n_pes)
     assert set(m.keys()) == set(all_indices(shape))
     assert all(0 <= pe < n_pes for pe in m.values())
     loads = [sum(1 for pe in m.values() if pe == p) for p in range(n_pes)]

@@ -1,9 +1,9 @@
-"""Tests for the Proxy/ElementProxy sugar and array messaging edges."""
+"""Tests for chare-array messaging edges."""
 
 import pytest
 
 from repro.hardware import Cluster, MachineSpec
-from repro.runtime import Chare, CharmRuntime
+from repro.runtime import Chare, CharmRuntime, block_map
 from repro.sim import Engine
 
 
@@ -21,63 +21,6 @@ def make(n_nodes=1):
     Echo.got = []
     arr = rt.create_array(Echo, shape=(2, 2))
     return eng, rt, arr
-
-
-def test_array_getitem_proxy_invocation():
-    eng, rt, arr = make()
-    arr[(1, 0)].ping(ref=7, payload="hi")
-    rt.run()
-    assert Echo.got == [((1, 0), 7, "hi")]
-
-
-def test_proxy_call_form():
-    eng, rt, arr = make()
-    arr.proxy(0, 1).ping(payload="x")
-    rt.run()
-    assert Echo.got == [((0, 1), None, "x")]
-
-
-def test_proxy_broadcast():
-    eng, rt, arr = make()
-    arr.proxy.broadcast("ping")
-    rt.run()
-    assert sorted(i for i, _r, _p in Echo.got) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-
-def test_proxy_from_chare_charges_sender():
-    class Sender(Chare):
-        def run(self, msg):
-            proxy = self.array.proxy.from_chare(self)
-            proxy[(0, 1)].ping(payload="from-chare")
-            yield self.work(1e-9)
-
-    eng = Engine()
-    cluster = Cluster(eng, MachineSpec.small_debug(), 1)
-    rt = CharmRuntime(cluster)
-    Echo.got = []
-    echo = rt.create_array(Echo, shape=(2, 2))
-
-    class Sender2(Sender):
-        array = None
-
-    Sender2.array = echo  # hand the echo array to the sender class
-
-    class Starter(Chare):
-        def run(self, msg):
-            p = echo.proxy.from_chare(self)
-            p[(0, 1)].ping(payload="from-chare")
-            yield self.work(1e-9)
-
-    starters = rt.create_array(Starter, shape=(1,))
-    starters.broadcast("run")
-    rt.run()
-    assert Echo.got == [((0, 1), None, "from-chare")]
-
-
-def test_element_proxy_rejects_private_methods():
-    eng, rt, arr = make()
-    with pytest.raises(AttributeError):
-        arr[(0, 0)]._secret
 
 
 def test_send_to_missing_element_raises():
@@ -99,3 +42,10 @@ def test_array_len_and_element():
     eng, rt, arr = make()
     assert len(arr) == 4
     assert arr.element([1, 1]).index == (1, 1)
+
+
+def test_array_mapping_defaults_to_block_map():
+    eng, rt, arr = make()
+    assert arr.mapping == block_map((2, 2), rt.cluster.n_pes)
+    explicit = rt.create_array(Echo, shape=(2,), mapping={(0,): 1, (1,): 0})
+    assert explicit.element((0,)).pe.index == 1

@@ -59,7 +59,7 @@ def test_plain_entry_method_invocation():
     eng, cluster, rt = make_runtime()
     Echo.received = []
     arr = rt.create_array(Echo, shape=(2,))
-    arr.proxy[(1,)].ping(payload="hi")
+    arr.inject((1,), "ping", payload="hi")
     rt.run()
     assert Echo.received == [((1,), "hi", pytest.approx(eng.now, abs=1e-9))]
 
@@ -92,8 +92,8 @@ def test_when_matches_reference_numbers_out_of_order():
     arr = rt.create_array(WhenChare, shape=(1,))
     arr.broadcast("run")
     # Deliver ref=2 first; the chare must still consume ref=1 first.
-    arr.proxy[(0,)].data(ref=2, payload="second")
-    arr.proxy[(0,)].data(ref=1, payload="first")
+    arr.inject((0,), "data", ref=2, payload="second")
+    arr.inject((0,), "data", ref=1, payload="first")
     rt.run()
     assert WhenChare.seen == [("ref1", "first"), ("ref2", "second")]
 
@@ -102,8 +102,8 @@ def test_when_buffers_early_messages():
     eng, cluster, rt = make_runtime()
     WhenChare.seen = []
     arr = rt.create_array(WhenChare, shape=(1,))
-    arr.proxy[(0,)].data(ref=1, payload="early1")
-    arr.proxy[(0,)].data(ref=2, payload="early2")
+    arr.inject((0,), "data", ref=1, payload="early1")
+    arr.inject((0,), "data", ref=2, payload="early2")
     arr.broadcast("run")  # run starts after both deposits
     rt.run()
     assert WhenChare.seen == [("ref1", "early1"), ("ref2", "early2")]
@@ -122,7 +122,7 @@ def test_when_none_ref_matches_any():
     AnyRef.got = []
     arr = rt.create_array(AnyRef, shape=(1,))
     arr.broadcast("run")
-    arr.proxy[(0,)].data(ref=42, payload=None)
+    arr.inject((0,), "data", ref=42, payload=None)
     rt.run()
     assert AnyRef.got == [42]
 
@@ -152,10 +152,9 @@ def test_when_takes_oldest_across_refs_and_fifo_within_a_ref():
     checker = InvariantChecker().attach(eng)
     checker.watch_runtime(rt)
     arr = rt.create_array(MixedRefs, shape=(1,))
-    proxy = arr.proxy[(0,)]
     # Buffered before run starts: b1 is the oldest deposit overall.
     for ref, payload in (("b", "b1"), ("a", "a1"), ("b", "b2"), ("a", "a2"), ("a", "a3")):
-        proxy.data(ref=ref, payload=payload)
+        arr.inject((0,), "data", ref=ref, payload=payload)
     arr.broadcast("run")
     rt.run()
     assert MixedRefs.got == [("b", "b1"), ("a", "a1"), ("a", "a2")]
@@ -326,23 +325,8 @@ def test_synchronous_completion_hogs_the_pe():
 
 
 # ---------------------------------------------------------------------------
-# Observers and stats
+# Stats
 # ---------------------------------------------------------------------------
-
-
-def test_observer_receives_notifications():
-    class Notifier(Chare):
-        def run(self, msg):
-            yield self.work(1e-6)
-            self.notify("did_thing", value=7)
-
-    eng, cluster, rt = make_runtime()
-    events = []
-    rt.observe(lambda name, chare, **d: events.append((name, chare.index, d)))
-    arr = rt.create_array(Notifier, shape=(1,))
-    arr.broadcast("run")
-    rt.run()
-    assert events == [("did_thing", (0,), {"value": 7})]
 
 
 def test_messages_processed_counter():

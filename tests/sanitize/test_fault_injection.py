@@ -120,7 +120,7 @@ def test_unawaited_channel_deposit_detected():
     runtime = CharmRuntime(cluster)
     sanitizer = Sanitizer().attach(engine)
     sanitizer.watch_runtime(runtime)
-    array = runtime.create_array(LeakyPair, shape=(2,), mapping="block")
+    array = runtime.create_array(LeakyPair, shape=(2,))
     array.broadcast("run")
     runtime.run()
     sanitizer.finish(raise_on_findings=False)
@@ -166,7 +166,7 @@ def test_runtime_deadlock_error_is_enriched():
     runtime = CharmRuntime(cluster)
     sanitizer = Sanitizer().attach(engine)
     sanitizer.watch_runtime(runtime)
-    array = runtime.create_array(StuckChare, shape=(1,), mapping="block")
+    array = runtime.create_array(StuckChare, shape=(1,))
     array.broadcast("run")
     with pytest.raises(SimulationError) as excinfo:
         runtime.run()
