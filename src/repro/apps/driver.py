@@ -89,9 +89,9 @@ def run_app(
     ``Sanitizer`` instance attaches it and leaves the findings for the
     caller to inspect (what ``repro sanitize`` does).
 
-    ``observatory`` (an :class:`~repro.obs.report.Observatory`) attaches a tracer
-    *and* a metrics registry for perf reporting; pass either it or a bare
-    ``tracer``, not both.
+    ``observatory`` (an :class:`~repro.obs.report.Observatory`) attaches a
+    tracer and keeps the engine and cluster for perf reporting; pass either
+    it or a bare ``tracer``, not both.
 
     ``context_out`` (a list): receives the app context right after
     construction, so post-run audits can read app-side ledgers — the DAG
@@ -167,8 +167,9 @@ def run_app(
         raise RuntimeError("measured window is empty; increase iterations")
     per_iteration = metrics.time_per_iteration(config.iterations)
 
-    # All busy/overlap accounting is windowed to the measured (post-warmup)
-    # interval so warmup iterations do not inflate utilization.
+    # GPU and PE busy time are windowed to the measured (post-warmup)
+    # interval so warmup iterations do not inflate utilization; the
+    # compute/comm overlap covers the whole run, warmup included.
     gpu_busy = sum(
         gpu.trackers[COMPUTE].busy_seconds(t_warm, t_end)
         for node in cluster.nodes

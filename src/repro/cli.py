@@ -45,7 +45,7 @@ results are bit-identical to serial uncached runs either way.
     Observability (docs/observability.md): ``perf run`` simulates one
     configuration under the full observability stack and reports
     per-resource utilization, per-iteration phase attribution, the
-    critical path, and the metrics catalogue (text, ``--json``,
+    critical path, and the run's counters (text, ``--json``,
     ``--html``, or a Perfetto trace via ``--trace``); ``perf compare``
     is the regression gate CI runs against a committed baseline; ``perf
     profile`` wraps one run in cProfile to show where the simulator

@@ -1,11 +1,13 @@
 """Perf reports: collection, rendering, persistence, and the regression gate.
 
-:class:`Observatory` bundles the tracer and the metrics registry into one
-attachable probe; :func:`run_app(config, observatory=obs)
-<repro.apps.driver.run_app>` wires it into a run, and ``obs.report(result)``
-then answers the paper's evaluation questions in one object: per-resource
-utilization, per-iteration phase attribution (in the app's declared phase
-vocabulary), the critical path, overlap, and the counter catalogue.
+:class:`Observatory` attaches a tracer, one of the probe bus's three
+subscribers (with the invariant checker and the sanitizer);
+:func:`run_app(config, observatory=obs) <repro.apps.driver.run_app>` wires
+it into a run, and ``obs.report(result)`` then answers the paper's
+evaluation questions in one object: per-resource utilization,
+per-iteration phase attribution (in the app's declared phase vocabulary),
+the critical path, overlap, and the counters the model already keeps
+(events, network messages and bytes, UCX messages).
 
 Reports serialize to JSON (``save``/``load``), render as text or a
 self-contained HTML page, and feed the perf-regression gate:
@@ -24,7 +26,6 @@ from typing import Optional
 
 from ..sim import Tracer, to_chrome_trace
 from .critpath import collect_segments, critical_path
-from .metrics import MetricsRegistry
 from .timeline import per_iteration_phases, phase_breakdown, resource_usage
 
 __all__ = [
@@ -40,7 +41,8 @@ __all__ = [
 
 
 class Observatory:
-    """One run's observability probe: a tracer plus a metrics registry.
+    """One run's observability probe: a tracer, plus the run's engine and
+    cluster for the report.
 
     Pass to :func:`~repro.apps.driver.run_app` via ``observatory=``; the
     driver calls :meth:`begin` once the engine and cluster exist.  After
@@ -49,17 +51,14 @@ class Observatory:
     the Perfetto timeline.
     """
 
-    def __init__(self, categories=None, include_metrics: bool = True):
+    def __init__(self, categories=None):
         self.tracer = Tracer(categories)
-        self.registry = MetricsRegistry()
-        self.include_metrics = include_metrics
         self.engine = None
         self.cluster = None
 
     def begin(self, engine, cluster) -> None:
         """Driver hook: attach the probe to a fresh run."""
         self.tracer.attach(engine)
-        self.registry.attach(engine)
         self.engine = engine
         self.cluster = cluster
 
@@ -92,9 +91,21 @@ class Observatory:
             iterations=per_iteration_phases(self.tracer, phases=spec.phases,
                                             classify=spec.classify_op),
             critical_path=path.to_dict(),
-            counters=self.registry.scalar_totals(),
-            metrics=self.registry.snapshot() if self.include_metrics else None,
+            counters=self._counters(result),
         )
+
+    def _counters(self, result) -> dict[str, int]:
+        """The run's tallies, read from the state that keeps them: the
+        engine's event sequence and executed count, the network's message
+        and byte counts, and UCX's per-protocol send counts."""
+        network = self.cluster.network
+        return {
+            "net.bytes": network.bytes_sent,
+            "net.messages": network.messages_sent,
+            "sim.events.executed": self.engine.events_executed,
+            "sim.events.scheduled": self.engine._seq,
+            "ucx.messages": sum(result.protocol_counts.values()),
+        }
 
 
 def collect_perf(config, validate: bool = False):
@@ -123,11 +134,10 @@ class PerfReport:
     iterations: list = field(default_factory=list)
     critical_path: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
-    metrics: Optional[dict] = None
 
     # -- persistence -------------------------------------------------------
     def to_dict(self) -> dict:
-        out = {
+        return {
             "schema": "repro.perf/1",
             "config": self.config,
             "makespan": self.makespan,
@@ -141,9 +151,6 @@ class PerfReport:
             "critical_path": self.critical_path,
             "counters": self.counters,
         }
-        if self.metrics is not None:
-            out["metrics"] = self.metrics
-        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "PerfReport":
@@ -159,7 +166,6 @@ class PerfReport:
             iterations=d.get("iterations", []),
             critical_path=d.get("critical_path", {}),
             counters=d.get("counters", {}),
-            metrics=d.get("metrics"),
         )
 
     def save(self, path) -> Path:

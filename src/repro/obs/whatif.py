@@ -455,7 +455,7 @@ def record_run(config, validate: bool = False):
     from ..apps import run_app
     from .report import Observatory
 
-    obs = Observatory(include_metrics=False)
+    obs = Observatory()
     result = run_app(config, observatory=obs, validate=validate)
     model = WhatIfModel.from_run(config, obs.cluster, obs.tracer,
                                  makespan=result.total_time,

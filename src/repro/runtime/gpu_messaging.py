@@ -43,7 +43,6 @@ def gpu_message_send(chare, index, method: str, size: int, ref: Any = None) -> N
     probe = runtime.engine.probe
     snap = None
     if probe is not None:
-        probe.on_gm_send(src_pe, size)
         snap = probe.clock_snapshot(chare)
 
     def thunk():

@@ -82,24 +82,17 @@ class Scheduler:
 
     # -- main loop ------------------------------------------------------------
     def _loop(self):
-        engine = self.engine
         costs = self.costs
         queue = self.queue
         while True:
             item = yield queue.get()
             self.messages_processed += 1
-            is_resume = item.__class__ is Resume or isinstance(item, Resume)
-            probe = engine.probe
-            if probe is not None:
-                probe.on_sched_message(self, is_resume)
-            if is_resume:
+            if item.__class__ is Resume or isinstance(item, Resume):
                 if item.frame.finished:
                     continue
                 # One combined charge: queue pop + continuation resume.
                 seconds = costs.scheduling_overhead_s + costs.resume_overhead_s
                 if seconds > 0:
-                    if probe is not None:
-                        probe.on_sched_busy(self.pe, seconds)
                     token = self.pe.busy.begin()
                     yield seconds
                     self.pe.busy.end(token)
@@ -136,9 +129,6 @@ class Scheduler:
         # One combined charge: queue pop + envelope + entry dispatch.
         seconds = costs.scheduling_overhead_s + costs.entry_dispatch_s
         if seconds > 0:
-            probe = engine.probe
-            if probe is not None:
-                probe.on_sched_busy(self.pe, seconds)
             token = self.pe.busy.begin()
             yield seconds
             self.pe.busy.end(token)
@@ -223,9 +213,6 @@ class Scheduler:
                 self._register_wakeup(frame, event, cmd.priority)
                 return
             if seconds > 0:
-                probe = engine.probe
-                if probe is not None:
-                    probe.on_sched_busy(pe, seconds)
                 token = pe.busy.begin()
                 yield seconds
                 pe.busy.end(token)
@@ -240,7 +227,7 @@ class Scheduler:
                 continue
             probe = engine.probe
             if probe is not None:
-                probe.on_launch_issue(chare, value, pe, graph=kind == _GRAPH)
+                probe.on_launch_issue(chare, value, graph=kind == _GRAPH)
 
     def _register_wakeup(self, frame: Frame, event, priority: float) -> None:
         """Asynchronous completion detection: when ``event`` fires, a Resume
@@ -258,9 +245,6 @@ class Scheduler:
     # -- cost accounting -----------------------------------------------------------
     def _busy(self, seconds: float):
         if seconds > 0:
-            probe = self.engine.probe
-            if probe is not None:
-                probe.on_sched_busy(self.pe, seconds)
             token = self.pe.busy.begin()
             yield seconds
             self.pe.busy.end(token)

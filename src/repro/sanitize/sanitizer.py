@@ -235,7 +235,7 @@ class Sanitizer(Probe):
         self.register_event(cuda_event.fired, dict(self._clock[self._lane(stream)]))
 
     # -- hooks: runtime lanes (chares / ranks) ------------------------------
-    def on_launch_issue(self, owner, op, pe=None, graph=False) -> None:
+    def on_launch_issue(self, owner, op, graph=False) -> None:
         if not graph:
             self._issue_clock[id(op)] = dict(self._clock[self._lane(owner)])
 

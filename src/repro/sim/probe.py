@@ -1,7 +1,7 @@
 """The observer bus: one probe slot per engine, ``engine.probe``.
 
-The tracer, the metrics registry, the invariant checker and the sanitizer
-are :class:`Probe` subscribers that override the hooks they observe.  An
+The tracer, the invariant checker and the sanitizer are the three
+:class:`Probe` subscribers that override the hooks they observe.  An
 instrumented site reads ``probe = engine.probe`` once and emits one typed
 event behind one ``if probe is not None`` guard, so a run with no observer
 pays one attribute test per site and allocates nothing.  The slot holds the
@@ -71,16 +71,13 @@ class Probe:
     def on_op_start(self, device, op, kind, duration) -> None: pass
     def on_op_done(self, op) -> None: pass
     def on_event_record(self, stream, cuda_event) -> None: pass
-    # runtimes: `pe` is the issuing Charm scheduler's PE (None for MPI ranks)
-    def on_launch_issue(self, owner, op, pe=None, graph=False) -> None: pass
+    # runtimes: `owner` is the issuing chare or rank
+    def on_launch_issue(self, owner, op, graph=False) -> None: pass
     def on_msg_deposit(self, msg, owner=None, event=None) -> None: pass
     def on_msg_consume(self, owner, msg) -> None: pass
     def on_wake(self, owner, event) -> None: pass
     def on_transfer_post(self, handle, owner, snapshot=None) -> None: pass
     def on_task_attach(self, space, key, done_event) -> None: pass
-    def on_gm_send(self, pe, size) -> None: pass
-    def on_sched_message(self, sched, resume) -> None: pass
-    def on_sched_busy(self, pe, seconds) -> None: pass
     # apps: a chare or rank finished an iteration
     def on_iter_done(self, unit, iteration) -> None: pass
 

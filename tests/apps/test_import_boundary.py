@@ -16,7 +16,6 @@ NOT_LOADED = (
     "repro.obs.report",
     "repro.obs.diff",
     "repro.obs.critpath",
-    "repro.obs.metrics",
     "repro.validate.golden",
     "repro.validate.differential",
     "repro.sanitize.sanitizer",

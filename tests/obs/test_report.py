@@ -2,10 +2,11 @@
 comparison semantics."""
 
 import json
+import warnings
 
 import pytest
 
-from repro.apps import Jacobi3DConfig, run_app
+from repro.apps import AllreduceConfig, Jacobi3DConfig, run_app
 from repro.obs.report import Observatory, PerfReport, collect_perf, compare_perf
 
 CONFIG = Jacobi3DConfig(version="charm-d", nodes=2, grid=(96, 96, 96),
@@ -33,6 +34,35 @@ def test_report_answers_the_papers_questions(perf):
     assert report.critical_path["length_s"] == pytest.approx(report.makespan, rel=0.01)
     assert report.counters["ucx.messages"] > 0
     assert report.counters["sim.events.executed"] > 0
+
+
+@pytest.mark.parametrize("version", ["charm-d", "mpi-h", "ampi-d"])
+def test_counters_equal_the_model_tallies(version):
+    # The report reads its counters from the model; none is a second tally.
+    cfg = Jacobi3DConfig(version=version, nodes=2, grid=(48, 48, 48),
+                         iterations=3, warmup=1)
+    obs = Observatory()
+    result = run_app(cfg, observatory=obs)
+    counters = obs.report(result).counters
+    assert counters == {
+        "net.bytes": result.bytes_sent,
+        "net.messages": result.messages_sent,
+        "sim.events.executed": obs.engine.events_executed,
+        "sim.events.scheduled": obs.engine.events_executed,  # heap drained
+        "ucx.messages": sum(result.protocol_counts.values()),
+    }
+    assert counters["net.messages"] > 0 and counters["ucx.messages"] > 0
+
+
+def test_report_at_1032_pes_emits_no_warning():
+    # Paper scale: the counters are per run, not per PE, so nothing
+    # overflows however many PEs the machine has.
+    cfg = AllreduceConfig(version="charm-d", nodes=172, algorithm="tree",
+                          elements=1032, iterations=1, warmup=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _result, report = collect_perf(cfg)
+    assert sum(r["kind"] == "pe" for r in report.resources) == 1032
 
 
 def test_observatory_run_matches_plain_run(perf):

@@ -5,7 +5,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
 from repro.sanitize.sanitizer import Sanitizer
 from repro.sim import Engine, Event, Probe, SimulationError, Tracer
 from repro.validate.invariants import InvariantChecker
@@ -25,8 +24,6 @@ def _dispatch_one_op(eng):
 SUBSCRIBERS = {
     Tracer: (lambda eng: eng.probe.on_iter_done(SimpleNamespace(index=(0,)), 0),
              lambda sub: len(sub.records)),
-    MetricsRegistry: (_run_one_event,
-                      lambda sub: sub.get("sim.events.executed").total()),
     InvariantChecker: (_run_one_event, lambda sub: sub.events_processed),
     Sanitizer: (_dispatch_one_op, lambda sub: sub.ops_checked),
 }

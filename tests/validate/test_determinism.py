@@ -50,10 +50,10 @@ def test_validating_runner_matches_plain_runner():
     assert [r.to_dict() for r in plain] == [r.to_dict() for r in audited]
 
 
-def test_all_four_subscribers_at_once_match_golden_and_observatory_only():
-    """Tracer, metrics registry, invariant checker and sanitizer share one
-    engine through the probe fan-out: the trace still matches the committed
-    golden digest and the counters match an observatory-only run."""
+def test_all_three_subscribers_at_once_match_golden_and_observatory_only():
+    """Tracer, invariant checker and sanitizer share one engine through the
+    probe fan-out: the trace still matches the committed golden digest and
+    the counters match an observatory-only run."""
     cfg = CANONICAL_CONFIGS["charm-d"]
     everything, alone = Observatory(), Observatory()
     observed = run_app(cfg, observatory=everything, validate=True, sanitize=True)
